@@ -8,10 +8,8 @@ models work with y = +1/-1.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +41,6 @@ class TrainConfig:
 class TrainedModel:
     kind: str
     params: dict
-    positive_class: int = RIGHT
 
 
 def _check_xy(X, y):
@@ -94,21 +91,20 @@ def train_svm(X, y, cfg: TrainConfig) -> TrainedModel:
     n, d = Xo.shape
     lam = 1.0 / (cfg.svm_c * n)
     rng = np.random.default_rng(cfg.seed)
-    w = np.zeros(d)
+    # Pegasos scaled form (Shalev-Shwartz et al. 2011, sec. 2.4): w_t = v_t / (lambda t)
+    # with v the running sum of margin-violating y x, so the weights before
+    # step t are v / (lambda (t-1)); v = 0 at t = 1
+    v = np.zeros(d)
     b = 0.0
     t = 0
     for _ in range(cfg.svm_epochs):
         perm = rng.permutation(n)
         for i in perm:
             t += 1
-            eta = 1.0 / (lam * t)
-            if yo[i] * (Xo[i] @ w + b) < 1.0:
-                w *= 1.0 - eta * lam
-                w += eta * yo[i] * Xo[i]
+            if yo[i] * (Xo[i] @ v / (lam * max(t - 1, 1)) + b) < 1.0:
+                v += yo[i] * Xo[i]
                 b += yo[i] / t
-            else:
-                w *= 1.0 - eta * lam
-    return TrainedModel("SVM", {"w": w, "b": b})
+    return TrainedModel("SVM", {"w": v / (lam * t), "b": b})
 
 
 def train_knn(X, y, cfg: TrainConfig) -> TrainedModel:
@@ -246,17 +242,16 @@ def train_all(X, y, cfg: TrainConfig, kinds=None) -> dict:
 
 
 def _predict_rows(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    pos, neg = model.positive_class, LEFT if model.positive_class == RIGHT else RIGHT
     p = model.params
     if model.kind == "SVM":
-        return np.where(X @ p["w"] + p["b"] >= 0.0, pos, neg)
+        return np.where(X @ p["w"] + p["b"] >= 0.0, RIGHT, LEFT)
     if model.kind == "KNN":
         out = np.empty(len(X), dtype=int)
         for i, row in enumerate(X):
             d2 = ((p["X"] - row) ** 2).sum(axis=1)
             nearest = np.argsort(d2, kind="stable")[:p["k"]]
-            votes_pos = int((p["y"][nearest] == pos).sum())
-            out[i] = pos if votes_pos * 2 >= p["k"] else neg
+            votes_right = int((p["y"][nearest] == RIGHT).sum())
+            out[i] = RIGHT if votes_right * 2 >= p["k"] else LEFT
         return out
     if model.kind == "NaiveBayes":
         def loglik(mean, var, logprior):
@@ -264,12 +259,12 @@ def _predict_rows(model: TrainedModel, X: np.ndarray) -> np.ndarray:
                     + logprior)
         score = (loglik(p["mean_r"], p["var_r"], p["logprior_r"])
                  - loglik(p["mean_l"], p["var_l"], p["logprior_l"]))
-        return np.where(score >= 0.0, pos, neg)
+        return np.where(score >= 0.0, RIGHT, LEFT)
     if model.kind == "Boosting":
         h = np.where(X[:, p["features"]] > p["thresholds"], p["polarities"], -p["polarities"])
-        return np.where(h @ p["alphas"] >= 0.0, pos, neg)
+        return np.where(h @ p["alphas"] >= 0.0, RIGHT, LEFT)
     if model.kind == "LDA":
-        return np.where(X @ p["w"] >= p["c"], pos, neg)
+        return np.where(X @ p["w"] >= p["c"], RIGHT, LEFT)
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
@@ -299,45 +294,3 @@ def _model_width(model: TrainedModel):
 def training_accuracy(model: TrainedModel, X, y) -> float:
     X, y = _check_xy(X, y)
     return float((predict(model, X) == y).mean())
-
-
-def _to_jsonable(value):
-    if isinstance(value, np.ndarray):
-        return {"__array__": value.tolist(), "dtype": str(value.dtype)}
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
-def _from_jsonable(value):
-    if isinstance(value, dict) and "__array__" in value:
-        return np.array(value["__array__"], dtype=value["dtype"])
-    return value
-
-
-def model_to_json(model: TrainedModel) -> dict:
-    return {
-        "kind": model.kind,
-        "positive_class": model.positive_class,
-        "params": {k: _to_jsonable(v) for k, v in model.params.items()},
-    }
-
-
-def model_from_json(blob: dict) -> TrainedModel:
-    if blob.get("kind") not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {blob.get('kind')!r}")
-    return TrainedModel(kind=blob["kind"],
-                        params={k: _from_jsonable(v) for k, v in blob["params"].items()},
-                        positive_class=blob.get("positive_class", RIGHT))
-
-
-def save_model(model: TrainedModel, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_model(path) -> TrainedModel:
-    return model_from_json(json.loads(Path(path).read_text()))

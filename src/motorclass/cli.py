@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classifiers, dataset, dsp, evaluation, features, fusion, stats
+from . import classifiers, dataset, dsp, evaluation, features, stats
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +68,6 @@ class Dataset:
     trials: list
     channels: tuple = CHANNELS
 
-    def labels(self) -> np.ndarray:
-        return np.array([t.label for t in self.trials], dtype=int)
-
     def count(self, label: int) -> int:
         return sum(1 for t in self.trials if t.label == label)
 
@@ -98,6 +95,20 @@ class SynthConfig:
                 raise DataError("BadConfig", f"unknown channel in target_channels: {name!r}")
         if self.noise_model <= 0:
             raise DataError("BadConfig", "noise_model (pink exponent) must be > 0")
+
+
+def stratified_positions(labels, seed) -> np.ndarray:
+    """Each unit's position in its label's seeded permutation (Right units are
+    permuted first, then Left). labels lists one label per unit, trial or
+    epoch row, in ascending unit-id order. Folds are pos % k and the
+    calibration side is pos < n_calib, so every split is stratified per side."""
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    pos = np.zeros(len(labels), dtype=int)
+    for label in (RIGHT, LEFT):
+        members = np.nonzero(labels == label)[0]
+        pos[members[rng.permutation(len(members))]] = np.arange(len(members))
+    return pos
 
 
 def validate_trial(trial: Trial) -> list:
@@ -250,11 +261,19 @@ def load_dataset(manifest_path) -> Dataset:
     if not manifest["trials"]:
         raise DataError("EmptyDataset", "manifest lists zero trials")
     trials = []
+    seen = set()
     for entry in manifest["trials"]:
         tid = entry.get("trial_id")
+        if not isinstance(tid, int) or isinstance(tid, bool):
+            raise DataError("BadTrialId", f"trial_id must be an integer, got {tid!r}")
+        if tid in seen:
+            raise DataError("DuplicateTrialId", "listed more than once", trial_id=tid)
+        seen.add(tid)
         label = entry.get("label")
         if label not in (RIGHT, LEFT):
             raise DataError("BadLabel", f"label={label!r}", trial_id=tid)
+        if "file" not in entry:
+            raise DataError("BadManifest", "trial entry has no 'file'", trial_id=tid)
         fpath = path.parent / entry["file"]
         if not fpath.exists():
             raise DataError("MissingFile", str(fpath), trial_id=tid)

@@ -1,14 +1,14 @@
 """Numerical kernels: radix-2 FFT, windowed-sinc FIR band-pass, per-epoch PSD.
 
 Everything here is pure and deterministic. The FFT is implemented directly
-(iterative radix-2 with bit reversal) and the inverse is derived from it by
-conjugation; filtering runs through the same FFT via overlap-free block
-convolution.
+(iterative radix-2 with bit reversal); the inverse runs the same butterflies
+with conjugate twiddles, and filtering runs through the same FFT via
+overlap-free block convolution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +62,11 @@ def fft(x) -> np.ndarray:
 
 
 def ifft(x) -> np.ndarray:
-    """Inverse DFT via conjugation: ifft(X) = conj(fft(conj(X))) / N."""
+    """Inverse DFT: the forward butterflies with conjugate twiddles, over N."""
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1:
         raise DspError("ifft expects a 1-D vector")
-    return np.conj(_fft_last_axis(np.conj(x))) / x.shape[-1]
+    return _fft_last_axis(x, inverse=True) / x.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def _filter_rows(filt: FirFilter, rows: np.ndarray) -> np.ndarray:
         axis=-1).astype(np.complex128))
     hspec = _fft_last_axis(np.concatenate(
         [filt.taps, np.zeros(nfft - len(filt.taps))]).astype(np.complex128))
-    full = np.conj(_fft_last_axis(np.conj(spec * hspec))) / nfft
+    full = _fft_last_axis(spec * hspec, inverse=True) / nfft
     y = full.real[..., 2 * gd: 2 * gd + length]
     return np.ascontiguousarray(y)
 

@@ -1,16 +1,15 @@
-"""Stratified 3-fold cross-validation at trial granularity, confusion-matrix
-metrics, and per-classifier mean/std reports."""
+"""Stratified 3-fold cross-validation at trial or epoch granularity,
+confusion-matrix metrics, and per-classifier mean/std reports."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import classifiers, dsp, features, fusion
-from .dataset import FS, LEFT, RIGHT, Dataset
+from .dataset import FS, LEFT, RIGHT, Dataset, stratified_positions
 
 FOLD_K = 3
 REPORT_ORDER = ("SVM", "KNN", "NaiveBayes", "Boosting", "LDA", "Rule")
@@ -22,8 +21,6 @@ DEFAULT_FILTER = (1.0, 50.0, 1691)
 @dataclass
 class FoldPlan:
     folds: list   # 3 sorted arrays of trial ids, each mixing both sides
-    seed: int
-    k: int = FOLD_K
 
 
 @dataclass
@@ -54,16 +51,19 @@ class Metrics:
 def make_folds(dataset: Dataset, seed: int) -> FoldPlan:
     """Per-side seeded shuffle, then round-robin assignment to 3 folds, so all
     8 epochs of a trial land in one fold and per-side sizes differ by <= 1."""
-    rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(FOLD_K)]
+    trials = sorted(dataset.trials, key=lambda t: t.trial_id)
+    ids = np.array([t.trial_id for t in trials])
+    fold = _assign_folds(np.array([t.label for t in trials]), seed)
+    return FoldPlan(folds=[ids[fold == f] for f in range(FOLD_K)])
+
+
+def _assign_folds(unit_labels: np.ndarray, seed) -> np.ndarray:
+    """Fold index of each unit (labels in ascending unit-id order)."""
     for label in (RIGHT, LEFT):
-        ids = np.array(sorted(t.trial_id for t in dataset.trials if t.label == label))
-        if len(ids) < FOLD_K:
-            raise ValueError(f"need >= {FOLD_K} trials of label {label}, got {len(ids)}")
-        perm = rng.permutation(len(ids))
-        for i, tid in enumerate(ids[perm]):
-            folds[i % FOLD_K].append(int(tid))
-    return FoldPlan(folds=[np.array(sorted(f)) for f in folds], seed=seed)
+        n = int((unit_labels == label).sum())
+        if n < FOLD_K:
+            raise ValueError(f"need >= {FOLD_K} units of label {label}, got {n}")
+    return stratified_positions(unit_labels, seed) % FOLD_K
 
 
 def compute_metrics(cm: ConfusionMatrix) -> Metrics:
@@ -100,18 +100,6 @@ def _confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
     )
 
 
-def _epoch_folds(fm: features.FeatureMatrix, seed: int) -> list:
-    """Row-index folds stratified per side, ignoring trial boundaries."""
-    rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(FOLD_K)]
-    for label in (RIGHT, LEFT):
-        rows = np.nonzero(fm.y == label)[0]
-        perm = rng.permutation(len(rows))
-        for i, r in enumerate(rows[perm]):
-            folds[i % FOLD_K].append(int(r))
-    return [np.array(sorted(f)) for f in folds]
-
-
 def run_cv(dataset: Dataset, cfg: classifiers.TrainConfig, seed: int,
            kinds=None, ranking_source: str = "holdout",
            log_power: bool = False, epoch_folds: bool = False,
@@ -130,18 +118,18 @@ def run_cv(dataset: Dataset, cfg: classifiers.TrainConfig, seed: int,
     low, high, taps = filter_spec
     filt = dsp.design_bandpass(FS, low, high, taps)
     fm = features.build_feature_matrix(dataset, filt, log_power=log_power)
-    trial_label = {t.trial_id: t.label for t in dataset.trials}
 
-    if epoch_folds:
-        row_folds = _epoch_folds(fm, seed)
-    else:
-        plan = make_folds(dataset, seed)
-        row_folds = [np.nonzero(np.isin(fm.trial_ids, fold))[0] for fold in plan.folds]
+    # folds and calibration holdouts are drawn per unit, then broadcast to rows
+    units = np.arange(fm.n_rows) if epoch_folds else fm.trial_ids
+    unit_ids, first_row, row_unit = np.unique(units, return_index=True, return_inverse=True)
+    unit_y = fm.y[first_row]
+    unit_fold = _assign_folds(unit_y, seed)
+    row_fold = unit_fold[row_unit]
 
     per_fold_cms = {kind: [] for kind in (*kinds, *(["Rule"] if use_rule else []))}
     for f in range(FOLD_K):
-        test_rows = row_folds[f]
-        train_rows = np.sort(np.concatenate([row_folds[g] for g in range(FOLD_K) if g != f]))
+        test_rows = np.nonzero(row_fold == f)[0]
+        train_rows = np.nonzero(row_fold != f)[0]
         X_train, y_train = fm.X[train_rows], fm.y[train_rows]
         X_test, y_test = fm.X[test_rows], fm.y[test_rows]
 
@@ -150,22 +138,15 @@ def run_cv(dataset: Dataset, cfg: classifiers.TrainConfig, seed: int,
         Z_test = features.apply_scaler(scaler, X_test)
         models = classifiers.train_all(Z_train, y_train, cfg, kinds=kinds)
 
-        ensemble = None
         if use_rule:
             if ranking_source == "train":
-                ranking = fusion.rank_models(models, Z_train, y_train)
-                ensemble = ranking
+                ensemble = fusion.rank_models(models, Z_train, y_train)
             else:
-                if epoch_folds:
-                    # trial structure is dissolved; hold out rows directly
-                    fit_idx, calib_idx = _holdout_rows(y_train, [seed, f])
-                else:
-                    fold_ids = np.unique(fm.trial_ids[train_rows])
-                    fold_labels = np.array([trial_label[t] for t in fold_ids])
-                    fit_ids, calib_ids = fusion.make_calibration_split(
-                        fold_ids, fold_labels, [seed, f])
-                    fit_idx = np.isin(fm.trial_ids[train_rows], fit_ids)
-                    calib_idx = np.isin(fm.trial_ids[train_rows], calib_ids)
+                train_units = unit_fold != f
+                _, calib_ids = fusion.make_calibration_split(
+                    unit_ids[train_units], unit_y[train_units], [seed, f])
+                calib_idx = np.isin(units[train_rows], calib_ids)
+                fit_idx = ~calib_idx
                 inner_scaler = features.fit_scaler(X_train[fit_idx])
                 inner_models = classifiers.train_all(
                     features.apply_scaler(inner_scaler, X_train[fit_idx]),
@@ -192,17 +173,6 @@ def run_cv(dataset: Dataset, cfg: classifiers.TrainConfig, seed: int,
     if not use_rule:
         report["rule_error"] = "rule fusion needs >= 3 classifiers"
     return report
-
-
-def _holdout_rows(y_train: np.ndarray, seed) -> tuple:
-    """Stratified 25% row holdout used for ranking when folds are epoch-level."""
-    rng = np.random.default_rng(seed)
-    calib = np.zeros(len(y_train), dtype=bool)
-    for label in (RIGHT, LEFT):
-        rows = np.nonzero(y_train == label)[0]
-        perm = rng.permutation(len(rows))
-        calib[rows[perm[:max(1, len(rows) // 4)]]] = True
-    return ~calib, calib
 
 
 def _summarize(kind: str, cms: list) -> dict:

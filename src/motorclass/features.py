@@ -26,7 +26,6 @@ class FeatureMatrix:
     y: np.ndarray          # (n_rows,) labels
     trial_ids: np.ndarray  # (n_rows,)
     epochs: np.ndarray     # (n_rows,) epoch index 0..7
-    scaler: Scaler | None = None
 
     @property
     def n_rows(self) -> int:

@@ -4,14 +4,12 @@ top three, and combine their votes with the fixed positive-gated rule
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import classifiers
-from .dataset import LEFT, RIGHT
+from .dataset import LEFT, RIGHT, stratified_positions
 
 TIE_PRECEDENCE = ("SVM", "LDA", "Boosting", "KNN", "NaiveBayes")
 
@@ -21,8 +19,6 @@ class RuleEnsemble:
     ranked: list                 # exactly 3 TrainedModel, best calibration accuracy first
     ranked_kinds: tuple
     calibration_accuracy: dict   # kind -> accuracy on the calibration rows, all candidates
-    positive_class: int = RIGHT
-    tie_policy: tuple = TIE_PRECEDENCE
 
 
 def rank_models(models: dict, calib_X, calib_y) -> RuleEnsemble:
@@ -48,11 +44,7 @@ def rank_models(models: dict, calib_X, calib_y) -> RuleEnsemble:
 def replace_models(ensemble: RuleEnsemble, models: dict) -> RuleEnsemble:
     """Same ranking, different fitted models (used to refit on the full
     training fold after ranking on the inner holdout)."""
-    return RuleEnsemble(ranked=[models[k] for k in ensemble.ranked_kinds],
-                        ranked_kinds=ensemble.ranked_kinds,
-                        calibration_accuracy=ensemble.calibration_accuracy,
-                        positive_class=ensemble.positive_class,
-                        tie_policy=ensemble.tie_policy)
+    return replace(ensemble, ranked=[models[k] for k in ensemble.ranked_kinds])
 
 
 def rule_predict(ensemble: RuleEnsemble, rows):
@@ -61,10 +53,8 @@ def rule_predict(ensemble: RuleEnsemble, rows):
     rows = np.asarray(rows, dtype=float)
     single = rows.ndim == 1
     X = rows[None, :] if single else rows
-    pos = ensemble.positive_class
-    neg = LEFT if pos == RIGHT else RIGHT
-    a, b, c = (classifiers.predict(m, X) == pos for m in ensemble.ranked)
-    out = np.where(a & (b | c), pos, neg)
+    a, b, c = (classifiers.predict(m, X) == RIGHT for m in ensemble.ranked)
+    out = np.where(a & (b | c), RIGHT, LEFT)
     return int(out[0]) if single else out
 
 
@@ -78,43 +68,13 @@ def make_calibration_split(trial_ids, trial_labels, seed, fraction: float = 0.25
         raise ValueError("trial_ids and trial_labels must align")
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    fit_ids, calib_ids = [], []
+    order = np.argsort(trial_ids, kind="stable")
+    ids, labels = trial_ids[order], trial_labels[order]
+    n_calib = np.zeros(len(ids), dtype=int)
     for label in (RIGHT, LEFT):
-        ids = np.sort(trial_ids[trial_labels == label])
-        if len(ids) < 2:
+        n = int((labels == label).sum())
+        if n < 2:
             raise ValueError(f"need >= 2 trials of label {label} to split")
-        perm = rng.permutation(len(ids))
-        n_calib = max(1, int(fraction * len(ids)))
-        calib_ids.extend(ids[perm[:n_calib]])
-        fit_ids.extend(ids[perm[n_calib:]])
-    return np.sort(np.array(fit_ids)), np.sort(np.array(calib_ids))
-
-
-def ensemble_to_json(ensemble: RuleEnsemble) -> dict:
-    return {
-        "ranked_kinds": list(ensemble.ranked_kinds),
-        "calibration_accuracy": {k: float(v)
-                                 for k, v in sorted(ensemble.calibration_accuracy.items())},
-        "positive_class": ensemble.positive_class,
-        "tie_policy": list(ensemble.tie_policy),
-        "models": [classifiers.model_to_json(m) for m in ensemble.ranked],
-    }
-
-
-def ensemble_from_json(blob: dict) -> RuleEnsemble:
-    models = [classifiers.model_from_json(b) for b in blob["models"]]
-    return RuleEnsemble(ranked=models, ranked_kinds=tuple(blob["ranked_kinds"]),
-                        calibration_accuracy=dict(blob["calibration_accuracy"]),
-                        positive_class=blob["positive_class"],
-                        tie_policy=tuple(blob["tie_policy"]))
-
-
-def save_ensemble(ensemble: RuleEnsemble, path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(ensemble_to_json(ensemble), indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_ensemble(path) -> RuleEnsemble:
-    return ensemble_from_json(json.loads(Path(path).read_text()))
+        n_calib[labels == label] = max(1, int(fraction * n))
+    calib = stratified_positions(labels, seed) < n_calib
+    return ids[~calib], ids[calib]

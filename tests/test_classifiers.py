@@ -291,18 +291,3 @@ class TestCrossCuttingProperties:
         for kind, m in cl.train_all(*train, CFG).items():
             for key, value in m.params.items():
                 assert np.all(np.isfinite(np.asarray(value, dtype=float))), (kind, key)
-
-
-class TestSerialization:
-    def test_round_trip_preserves_predictions(self, tmp_path):
-        train, test = blobs(13, n=30, d=10)
-        T = test[0]
-        for kind, m in cl.train_all(*train, CFG).items():
-            path = cl.save_model(m, tmp_path / f"{kind}.json")
-            loaded = cl.load_model(path)
-            assert loaded.kind == m.kind
-            assert np.array_equal(cl.predict(loaded, T), cl.predict(m, T)), kind
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            cl.model_from_json({"kind": "Perceptron", "params": {}})

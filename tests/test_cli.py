@@ -253,6 +253,25 @@ class TestEvaluate:
         assert report["config"]["fusion"]["ranking_source"] == "train"
 
 
+class TestManifestEntries:
+    @pytest.mark.parametrize("mutate,prefix", [
+        (lambda entry: entry.pop("file"), "data error: BadManifest (trial 1)"),
+        (lambda entry: entry.pop("trial_id"), "data error: BadTrialId"),
+        (lambda entry: entry.update(trial_id=0), "data error: DuplicateTrialId (trial 0)"),
+    ], ids=["no_file", "no_trial_id", "duplicate_trial_id"])
+    def test_rejected_as_data_error(self, ds_dir, tmp_path, capsys, mutate, prefix):
+        blob = json.loads((ds_dir / "manifest.json").read_text())
+        for entry in blob["trials"]:
+            entry["file"] = str(ds_dir / entry["file"])
+        mutate(blob["trials"][1])
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(blob))
+        code, _, err = run(["evaluate", str(bad), "--out", str(tmp_path / "o")], capsys)
+        assert code == cli.EXIT_DATA
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
+
+
 class TestReport:
     def test_combines_two_seeds(self, ds_dir, tmp_path, capsys):
         a, b, out = tmp_path / "s0", tmp_path / "s1", tmp_path / "combined"

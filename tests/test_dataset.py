@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from motorclass import dataset, features, stats
+from motorclass import dataset, features, fusion, stats
 from motorclass.dataset import (CHANNELS, LEFT, RIGHT, DataError, SynthConfig, Trial,
                                 generate_synthetic, load_dataset, save_dataset,
-                                validate_trial)
+                                stratified_positions, validate_trial)
 
 
 def small_config(**kw):
@@ -184,3 +186,26 @@ class TestValidateTrial:
     def test_bad_shape(self):
         report = validate_trial(self._trial(samples=np.zeros((12, 4095))))
         assert any(code == "BadSampleCount" for code, _ in report)
+
+
+class TestStratifiedPositions:
+    @given(st.lists(st.sampled_from([RIGHT, LEFT]), max_size=60),
+           st.integers(0, 2 ** 32 - 1))
+    def test_split_properties(self, labels, seed):
+        labels = np.array(labels, dtype=int)
+        pos = stratified_positions(labels, seed)
+        assert np.array_equal(pos, stratified_positions(labels, seed))
+        for label in (RIGHT, LEFT):
+            side = pos[labels == label]
+            # a permutation of 0..n-1 per side, so folds and the calibration
+            # holdout partition the side's units
+            assert sorted(side.tolist()) == list(range(len(side)))
+            fold_sizes = np.bincount(side % 3, minlength=3)
+            assert fold_sizes.max() - fold_sizes.min() <= 1
+        ids = np.arange(len(labels)) * 7
+        if min((labels == RIGHT).sum(), (labels == LEFT).sum()) >= 2:
+            fit, calib = fusion.make_calibration_split(ids, labels, seed)
+            assert sorted(np.concatenate([fit, calib]).tolist()) == ids.tolist()
+            for label in (RIGHT, LEFT):
+                n = int((labels == label).sum())
+                assert int(np.isin(ids[labels == label], calib).sum()) == max(1, n // 4)

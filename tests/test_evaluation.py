@@ -11,6 +11,44 @@ from motorclass.classifiers import TrainConfig
 from motorclass.dataset import LEFT, RIGHT, SynthConfig, generate_synthetic
 
 
+# per-fold (tp, fp, fn, tn) of every report row of run_cv(ds6, seed 0), pinned
+# so that a change to fold or calibration assignment cannot move any count
+GOLDEN_PER_FOLD = {
+    ("trial", "holdout"): {
+        "SVM": [(10, 0, 6, 16), (13, 0, 3, 16), (15, 0, 1, 16)],
+        "KNN": [(16, 1, 0, 15), (16, 3, 0, 13), (14, 2, 2, 14)],
+        "NaiveBayes": [(16, 0, 0, 16), (16, 0, 0, 16), (16, 0, 0, 16)],
+        "Boosting": [(16, 0, 0, 16), (16, 0, 0, 16), (16, 0, 0, 16)],
+        "LDA": [(16, 0, 0, 16), (16, 0, 0, 16), (15, 1, 1, 15)],
+        "Rule": [(16, 0, 0, 16), (16, 0, 0, 16), (16, 0, 0, 16)],
+    },
+    ("trial", "train"): {
+        "SVM": [(10, 0, 6, 16), (13, 0, 3, 16), (15, 0, 1, 16)],
+        "KNN": [(16, 1, 0, 15), (16, 3, 0, 13), (14, 2, 2, 14)],
+        "NaiveBayes": [(16, 0, 0, 16), (16, 0, 0, 16), (16, 0, 0, 16)],
+        "Boosting": [(16, 0, 0, 16), (16, 0, 0, 16), (16, 0, 0, 16)],
+        "LDA": [(16, 0, 0, 16), (16, 0, 0, 16), (15, 1, 1, 15)],
+        "Rule": [(10, 0, 6, 16), (13, 0, 3, 16), (15, 0, 1, 16)],
+    },
+    ("epoch", "holdout"): {
+        "SVM": [(8, 0, 8, 16), (16, 0, 0, 16), (16, 6, 0, 10)],
+        "KNN": [(15, 3, 1, 13), (16, 1, 0, 15), (15, 1, 1, 15)],
+        "NaiveBayes": [(16, 0, 0, 16), (16, 0, 0, 16), (16, 0, 0, 16)],
+        "Boosting": [(16, 0, 0, 16), (16, 0, 0, 16), (16, 0, 0, 16)],
+        "LDA": [(16, 1, 0, 15), (16, 1, 0, 15), (16, 0, 0, 16)],
+        "Rule": [(16, 0, 0, 16), (16, 0, 0, 16), (16, 0, 0, 16)],
+    },
+    ("epoch", "train"): {
+        "SVM": [(8, 0, 8, 16), (16, 0, 0, 16), (16, 6, 0, 10)],
+        "KNN": [(15, 3, 1, 13), (16, 1, 0, 15), (15, 1, 1, 15)],
+        "NaiveBayes": [(16, 0, 0, 16), (16, 0, 0, 16), (16, 0, 0, 16)],
+        "Boosting": [(16, 0, 0, 16), (16, 0, 0, 16), (16, 0, 0, 16)],
+        "LDA": [(16, 1, 0, 15), (16, 1, 0, 15), (16, 0, 0, 16)],
+        "Rule": [(8, 0, 8, 16), (16, 0, 0, 16), (16, 0, 0, 16)],
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def ds6():
     return generate_synthetic(SynthConfig(n_trials_per_side=6, asymmetry_db=6.0, seed=3))
@@ -143,6 +181,14 @@ class TestRunCv:
                   for cm in report["classifiers"][0]["per_fold"]]
         assert sum(totals) == 96
         assert max(totals) - min(totals) <= 8
+
+    @pytest.mark.parametrize("granularity,ranking", sorted(GOLDEN_PER_FOLD))
+    def test_golden_per_fold_counts(self, ds6, granularity, ranking):
+        report = ev.run_cv(ds6, TrainConfig(seed=0), seed=0, ranking_source=ranking,
+                           epoch_folds=granularity == "epoch")
+        got = {e["kind"]: [(cm["tp"], cm["fp"], cm["fn"], cm["tn"]) for cm in e["per_fold"]]
+               for e in report["classifiers"]}
+        assert got == GOLDEN_PER_FOLD[(granularity, ranking)]
 
 
 class TestBatchReport:

@@ -1,5 +1,5 @@
 """Rank-and-rule fusion: ranking order, tie precedence, the gating rule's
-truth table, calibration splitting, and serialization."""
+truth table, and calibration splitting."""
 
 import itertools
 import math
@@ -188,17 +188,3 @@ class TestCalibrationSplit:
             fusion.make_calibration_split(self.IDS, self.LABELS, 0, fraction=0.0)
         with pytest.raises(ValueError):
             fusion.make_calibration_split(np.arange(4), np.array([RIGHT, LEFT]), 0)
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        models = {k: threshold_model(k, 50 + i)
-                  for i, k in enumerate(fusion.TIE_PRECEDENCE)}
-        ens = fusion.rank_models(models, GRID, GRID_Y)
-        path = fusion.save_ensemble(ens, tmp_path / "ensemble.json")
-        loaded = fusion.load_ensemble(path)
-        assert loaded.ranked_kinds == ens.ranked_kinds
-        assert loaded.positive_class == ens.positive_class
-        assert loaded.calibration_accuracy == ens.calibration_accuracy
-        assert np.array_equal(fusion.rule_predict(loaded, GRID),
-                              fusion.rule_predict(ens, GRID))
