@@ -72,6 +72,13 @@ def _merge_config(path) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
+    for section, key in (("filter", "low_hz"), ("filter", "high_hz"), ("stats", "alpha")):
+        value = cfg[section][key]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise UsageError(f"{section}.{key} must be a number, got {value!r}")
+    taps = cfg["filter"]["taps"]
+    if not isinstance(taps, int) or isinstance(taps, bool):
+        raise UsageError(f"filter.taps must be an integer, got {taps!r}")
     if cfg["features"]["scale"] not in ("linear", "db"):
         raise UsageError("features.scale must be 'linear' or 'db'")
     if cfg["features"]["overlap"] != 0.0:

@@ -263,6 +263,8 @@ def load_dataset(manifest_path) -> Dataset:
     trials = []
     seen = set()
     for entry in manifest["trials"]:
+        if not isinstance(entry, dict):
+            raise DataError("BadManifest", f"trial entry must be a JSON object, got {entry!r}")
         tid = entry.get("trial_id")
         if not isinstance(tid, int) or isinstance(tid, bool):
             raise DataError("BadTrialId", f"trial_id must be an integer, got {tid!r}")

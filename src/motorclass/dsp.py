@@ -1,14 +1,18 @@
 """Numerical kernels: radix-2 FFT, windowed-sinc FIR band-pass, per-epoch PSD.
 
-Everything here is pure and deterministic. The FFT is implemented directly
-(iterative radix-2 with bit reversal); the inverse runs the same butterflies
-with conjugate twiddles, and filtering runs through the same FFT via
-overlap-free block convolution.
+Everything here is pure and deterministic. The FFT is implemented directly as
+a self-sorting (Stockham) radix-2 kernel: each stage combines the first and
+second halves of every sub-sequence with cached twiddles, so the output comes
+out in natural order without a bit-reversal pass. The inverse runs the same
+stages with conjugate twiddles. Real signals ride two to a complex transform:
+the filter carries two rows in the real and imaginary parts, and the PSD
+carries an epoch's two segments the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,34 +25,50 @@ class DspError(ValueError):
     pass
 
 
-def _bit_reversal(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    bits = n.bit_length() - 1
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
+@lru_cache(maxsize=None)
+def _stage_twiddles(n: int, inverse: bool) -> tuple:
+    """Per-stage twiddle columns for length n: exp(+-i*pi*k/p), k < p, for
+    p = 1, 2, 4, ..., n/2; read-only, shape (p, 1)."""
+    sign = 1.0 if inverse else -1.0
+    stages = []
+    half = 1
+    while half < n:
+        tw = np.exp(sign * 2j * np.pi * np.arange(half) / (2 * half))[:, None]
+        tw.flags.writeable = False
+        stages.append(tw)
+        half *= 2
+    return tuple(stages)
 
 
 def _fft_last_axis(a: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Radix-2 FFT along the last axis of a complex array (length power of two)."""
+    """Radix-2 FFT along the last axis of an array (length a power of two).
+
+    The work array has shape (rows, p, q) with p * q = n: column c of a row
+    holds the p-point DFT of the samples c, c + q, c + 2q, ... Each stage pairs
+    column c with column c + q/2 (the odd samples of the same sub-sequence)
+    and writes the 2p-point DFT, so after log2(n) stages the (rows, n, 1)
+    result is in natural order.
+    """
     n = a.shape[-1]
     if n == 0 or n & (n - 1):
         raise DspError(f"FFT length must be a power of two, got {n}")
-    out = np.ascontiguousarray(a[..., _bit_reversal(n)]).astype(np.complex128, copy=True)
-    half = 1
-    sign = 1.0 if inverse else -1.0
-    while half < n:
-        step = half * 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / step)
-        blocks = out.reshape(*out.shape[:-1], n // step, step)
-        even = blocks[..., :half].copy()
-        odd = blocks[..., half:] * tw
-        blocks[..., :half] = even + odd
-        blocks[..., half:] = even - odd
-        half = step
-    return out
+    src = np.asarray(a, dtype=np.complex128).reshape(-1, 1, n)
+    if n == 1:
+        return src.reshape(a.shape).copy()
+    rows = src.shape[0]
+    buffers = (np.empty(rows * n, dtype=np.complex128),
+               np.empty(rows * n, dtype=np.complex128))
+    odd = np.empty(rows * n // 2, dtype=np.complex128)
+    for stage, tw in enumerate(_stage_twiddles(n, inverse)):
+        p, h = tw.shape[0], n // (2 * tw.shape[0])
+        lo, hi = src[..., :h], src[..., h:]
+        dst = buffers[stage % 2].reshape(rows, 2, p, h)
+        if p > 1:
+            hi = np.multiply(hi, tw, out=odd.reshape(rows, p, h))
+        np.add(lo, hi, out=dst[:, 0])
+        np.subtract(lo, hi, out=dst[:, 1])
+        src = dst.reshape(rows, 2 * p, h)
+    return src.reshape(a.shape)
 
 
 def fft(x) -> np.ndarray:
@@ -80,10 +100,24 @@ class FirFilter:
     taps: np.ndarray
     fs: float
     band: tuple = (1.0, 50.0)
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def group_delay(self) -> int:
         return (len(self.taps) - 1) // 2
+
+    def spectrum(self, nfft: int) -> np.ndarray:
+        """FFT of the taps zero-padded to nfft, divided by nfft (exact for a
+        power of two) so the inverse transform needs no rescaling; computed
+        once per length and kept on the filter, read-only."""
+        spec = self._spectra.get(nfft)
+        if spec is None:
+            padded = np.zeros(nfft)
+            padded[:len(self.taps)] = self.taps
+            spec = _fft_last_axis(padded) / nfft
+            spec.flags.writeable = False
+            self._spectra[nfft] = spec
+        return spec
 
 
 def design_bandpass(fs: float, low: float, high: float, taps: int) -> FirFilter:
@@ -107,19 +141,27 @@ def _next_pow2(n: int) -> int:
 
 
 def _filter_rows(filt: FirFilter, rows: np.ndarray) -> np.ndarray:
-    """Apply the filter along the last axis of a 2-D array, group-delay aligned."""
+    """Apply the filter along the last axis of a 2-D array, group-delay aligned.
+
+    Rows ride two to a complex transform: the taps are real, so
+    IFFT(FFT(x1 + i*x2) * H) = x1*h + i*(x2*h), and the real and imaginary
+    parts are the two filtered rows. With an odd row count the last imaginary
+    part stays zero.
+    """
     gd = filt.group_delay
-    length = rows.shape[-1]
-    padded = np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(gd, gd)], mode="reflect")
+    n_rows, length = rows.shape
+    padded = np.pad(rows, [(0, 0), (gd, gd)], mode="reflect")
     nfft = _next_pow2(padded.shape[-1] + len(filt.taps) - 1)
-    spec = _fft_last_axis(np.concatenate(
-        [padded, np.zeros(padded.shape[:-1] + (nfft - padded.shape[-1],))],
-        axis=-1).astype(np.complex128))
-    hspec = _fft_last_axis(np.concatenate(
-        [filt.taps, np.zeros(nfft - len(filt.taps))]).astype(np.complex128))
-    full = _fft_last_axis(spec * hspec, inverse=True) / nfft
-    y = full.real[..., 2 * gd: 2 * gd + length]
-    return np.ascontiguousarray(y)
+    packed = np.zeros(((n_rows + 1) // 2, nfft), dtype=np.complex128)
+    packed.real[:, :padded.shape[-1]] = padded[0::2]
+    packed.imag[:n_rows // 2, :padded.shape[-1]] = padded[1::2]
+    spec = _fft_last_axis(packed)
+    spec *= filt.spectrum(nfft)
+    full = _fft_last_axis(spec, inverse=True)[:, 2 * gd: 2 * gd + length]
+    out = np.empty((n_rows, length))
+    out[0::2] = full.real
+    out[1::2] = full.imag[:n_rows // 2]
+    return out
 
 
 def apply_filter(filt: FirFilter, signal) -> np.ndarray:
@@ -143,12 +185,21 @@ _WINDOW_ENERGY = float(np.sum(_WINDOW ** 2))
 
 
 def _psd_epoch_rows(epochs: np.ndarray, fs: float) -> np.ndarray:
-    """PSD along the last axis for (..., 512) arrays; returns (..., 25)."""
-    segs = np.stack([epochs[..., :PSD_SEGMENT], epochs[..., PSD_SEGMENT:]], axis=0)
-    segs = segs - segs.mean(axis=-1, keepdims=True)
-    spec = _fft_last_axis((segs * _WINDOW).astype(np.complex128))
-    power = 2.0 * (spec.real ** 2 + spec.imag ** 2) / (fs * _WINDOW_ENERGY)
-    return power.mean(axis=0)[..., 1:PSD_BINS + 1]
+    """PSD along the last axis for (..., 512) arrays; returns (..., 25).
+
+    The two segments a, b of an epoch ride as one complex row z = a + i*b.
+    With Z = FFT(z), the conjugate-symmetric split gives
+    A[k] = (Z[k] + conj Z[-k]) / 2 and B[k] = (Z[k] - conj Z[-k]) / 2i, so
+    |A[k]|^2 + |B[k]|^2 = (|Z[k]|^2 + |Z[-k]|^2) / 2.
+    """
+    first, second = epochs[..., :PSD_SEGMENT], epochs[..., PSD_SEGMENT:]
+    packed = np.empty(first.shape, dtype=np.complex128)
+    packed.real = (first - first.mean(axis=-1, keepdims=True)) * _WINDOW
+    packed.imag = (second - second.mean(axis=-1, keepdims=True)) * _WINDOW
+    spec = _fft_last_axis(packed)
+    sq = spec.real ** 2 + spec.imag ** 2
+    both = sq[..., 1:PSD_BINS + 1] + sq[..., PSD_SEGMENT - 1:PSD_SEGMENT - PSD_BINS - 1:-1]
+    return both / (2.0 * fs * _WINDOW_ENERGY)
 
 
 def psd_epoch(epoch, fs: float = 512.0) -> np.ndarray:

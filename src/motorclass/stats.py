@@ -148,14 +148,13 @@ def _trial_means(rows: np.ndarray) -> np.ndarray:
 
 
 def significance_map(fm: FeatureMatrix, alpha: float = 0.05,
-                     level: str = "epoch",
-                     allow_truncate: bool = False) -> SignificanceMap:
+                     level: str = "epoch") -> SignificanceMap:
     """Per-(channel, bin) paired t-test of right-label rows against left-label
     rows, paired by acquisition rank.
 
     level="epoch" pairs individual epoch rows (the default); level="trial"
     first averages each trial's 8 epochs. Unequal per-label counts are an
-    error unless allow_truncate, which drops trailing rows of the longer side.
+    error: every right row needs a left partner of the same rank.
     """
     if level not in ("epoch", "trial"):
         raise ValueError(f"level must be 'epoch' or 'trial', got {level!r}")
@@ -167,12 +166,9 @@ def significance_map(fm: FeatureMatrix, alpha: float = 0.05,
         right = _trial_means(right)
         left = _trial_means(left)
     if len(right) != len(left):
-        if not allow_truncate:
-            raise ValueError(
-                f"unequal per-label counts ({len(right)} right vs {len(left)} left); "
-                "pass allow_truncate to drop trailing rows of the longer side")
-        m = min(len(right), len(left))
-        right, left = right[:m], left[:m]
+        raise ValueError(
+            "the rank-paired t-test needs equal right/left counts, got "
+            f"{len(right)} right and {len(left)} left")
 
     n_ch, n_bins = len(CHANNELS), dsp.PSD_BINS
     t = np.empty((n_ch, n_bins))

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package's numerics.
 
 Everything here is deliberately slow and simple: quadratic-time DFT, direct
-tap-by-tap frequency response, adaptive quadrature of the t density. These are
+tap-by-tap frequency response and convolution, a periodogram built on the
+quadratic-time DFT, adaptive quadrature of the t density. These are
 built and self-tested before the fast implementations they vet.
 """
 
@@ -10,12 +11,16 @@ import math
 import numpy as np
 
 
-def brute_dft(x) -> np.ndarray:
-    """O(n^2) discrete Fourier transform straight from the definition."""
+def brute_dft(x, inverse: bool = False) -> np.ndarray:
+    """O(n^2) discrete Fourier transform along the last axis, straight from
+    the definition; inverse flips the exponent's sign and does not divide by n.
+    The phase k*m is reduced mod n in integers and looked up in a table of
+    the n roots of unity."""
     x = np.asarray(x, dtype=np.complex128)
-    n = len(x)
+    n = x.shape[-1]
     k = np.arange(n)
-    return np.array([np.sum(x * np.exp(-2j * np.pi * k * m / n)) for m in range(n)])
+    roots = np.exp((1.0 if inverse else -1.0) * 2j * np.pi * k / n)
+    return np.stack([np.sum(x * roots[k * m % n], axis=-1) for m in range(n)], axis=-1)
 
 
 def freq_response(taps, fs: float, freq: float) -> float:
@@ -23,6 +28,32 @@ def freq_response(taps, fs: float, freq: float) -> float:
     taps = np.asarray(taps, dtype=float)
     n = np.arange(len(taps))
     return abs(np.sum(taps * np.exp(-2j * np.pi * freq * n / fs)))
+
+
+def direct_fir(taps, x) -> np.ndarray:
+    """Linear-phase FIR applied tap by tap: reflect-pad x by the group delay
+    on both sides, convolve, keep the len(x) group-delay-aligned samples."""
+    taps = np.asarray(taps, dtype=float)
+    x = np.asarray(x, dtype=float)
+    gd = (len(taps) - 1) // 2
+    padded = np.pad(x, gd, mode="reflect")
+    full = np.zeros(len(padded) + len(taps) - 1)
+    for k, h in enumerate(taps):
+        full[k:k + len(padded)] += h * padded
+    return full[2 * gd: 2 * gd + len(x)]
+
+
+def periodogram_psd(epoch, fs: float, segment: int = 256, bins: int = 25) -> np.ndarray:
+    """Mean of the one-sided periodograms of consecutive segments: each is
+    mean-removed, periodic-Hamming windowed, DFT'd by brute_dft and scaled by
+    2 / (fs * window energy); bins 1..bins are kept."""
+    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(segment) / segment)
+    segs = np.asarray(epoch, dtype=float).reshape(-1, segment)
+    power = []
+    for seg in segs:
+        spec = brute_dft((seg - seg.mean()) * window)
+        power.append(2.0 * np.abs(spec) ** 2 / (fs * np.sum(window ** 2)))
+    return np.mean(power, axis=0)[1:bins + 1]
 
 
 def _t_density(x: float, df: float) -> float:

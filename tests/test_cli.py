@@ -31,6 +31,18 @@ def manifest(ds_dir):
     return str(ds_dir / "manifest.json")
 
 
+def edited_manifest(ds_dir, tmp_path, mutate):
+    """A copy of the dataset's manifest in tmp_path, trial files referenced by
+    absolute path, after mutate(trials) has edited its trial list."""
+    blob = json.loads((ds_dir / "manifest.json").read_text())
+    for entry in blob["trials"]:
+        entry["file"] = str(ds_dir / entry["file"])
+    mutate(blob["trials"])
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
 class TestExitCodes:
     def test_no_subcommand(self, capsys):
         code, _, err = run([], capsys)
@@ -77,6 +89,21 @@ class TestExitCodes:
     def test_bad_threads(self, capsys):
         code, _, _ = run(["synth", "--threads", "0", "--out", "x"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("section,key,value,prefix", [
+        ("filter", "taps", "abc", "usage error: filter.taps must be an integer"),
+        ("filter", "low_hz", "1", "usage error: filter.low_hz must be a number"),
+        ("stats", "alpha", "0.05", "usage error: stats.alpha must be a number"),
+    ], ids=["taps_string", "low_hz_string", "alpha_string"])
+    def test_wrong_typed_config_is_usage_error(self, tmp_path, capsys, ds_dir,
+                                               section, key, value, prefix):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        code, _, err = run(["ttest", manifest(ds_dir), "--config", str(cfg),
+                            "--out", str(tmp_path / "o")], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith(prefix)
+        assert len(err.strip().splitlines()) == 1
 
     def test_unsupported_fold_count(self, tmp_path, capsys, ds_dir):
         cfg = tmp_path / "cfg.json"
@@ -192,6 +219,16 @@ class TestTtest:
         best = max(rows, key=lambda r: abs(float(r["t"])))
         assert best["channel"] in ("C3", "C4")
 
+    def test_unbalanced_manifest_is_data_error(self, ds_dir, tmp_path, capsys):
+        bad = edited_manifest(ds_dir, tmp_path, lambda trials: trials.remove(
+            next(entry for entry in trials if entry["label"] == 2)))
+        with pytest.warns(UserWarning, match="imbalanced"):
+            code, _, err = run(["ttest", bad, "--out", str(tmp_path / "o")], capsys)
+        assert code == cli.EXIT_DATA
+        assert "equal right/left counts, got 48 right and 40 left" in err
+        assert "allow_truncate" not in err
+        assert "Traceback" not in err
+
     def test_bands_command(self, ds_dir, tmp_path, capsys):
         out = tmp_path / "bands"
         code, _, _ = run(["bands", manifest(ds_dir), "--out", str(out)], capsys)
@@ -255,18 +292,16 @@ class TestEvaluate:
 
 class TestManifestEntries:
     @pytest.mark.parametrize("mutate,prefix", [
-        (lambda entry: entry.pop("file"), "data error: BadManifest (trial 1)"),
-        (lambda entry: entry.pop("trial_id"), "data error: BadTrialId"),
-        (lambda entry: entry.update(trial_id=0), "data error: DuplicateTrialId (trial 0)"),
-    ], ids=["no_file", "no_trial_id", "duplicate_trial_id"])
+        (lambda trials: trials[1].pop("file"), "data error: BadManifest (trial 1)"),
+        (lambda trials: trials[1].pop("trial_id"), "data error: BadTrialId"),
+        (lambda trials: trials[1].update(trial_id=0),
+         "data error: DuplicateTrialId (trial 0)"),
+        (lambda trials: trials.__setitem__(1, 1),
+         "data error: BadManifest: trial entry must be a JSON object"),
+    ], ids=["no_file", "no_trial_id", "duplicate_trial_id", "not_an_object"])
     def test_rejected_as_data_error(self, ds_dir, tmp_path, capsys, mutate, prefix):
-        blob = json.loads((ds_dir / "manifest.json").read_text())
-        for entry in blob["trials"]:
-            entry["file"] = str(ds_dir / entry["file"])
-        mutate(blob["trials"][1])
-        bad = tmp_path / "manifest.json"
-        bad.write_text(json.dumps(blob))
-        code, _, err = run(["evaluate", str(bad), "--out", str(tmp_path / "o")], capsys)
+        bad = edited_manifest(ds_dir, tmp_path, mutate)
+        code, _, err = run(["evaluate", bad, "--out", str(tmp_path / "o")], capsys)
         assert code == cli.EXIT_DATA
         assert err.startswith(prefix)
         assert "Traceback" not in err

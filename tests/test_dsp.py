@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from motorclass import dsp
-from oracles import brute_dft, freq_response
+from oracles import brute_dft, direct_fir, freq_response, periodogram_psd
 
 
 def db(x):
@@ -57,6 +57,17 @@ class TestFft:
         x[3] = np.nan
         with pytest.raises(dsp.DspError):
             dsp.fft(x)
+
+    @pytest.mark.parametrize("n", [2 ** k for k in range(14)])  # 1..8192
+    def test_batched_kernel_matches_brute_dft(self, n):
+        rng = np.random.default_rng(100 + n)
+        shape = (2, 3, n) if n <= 2048 else (2, n)  # the oracle is O(n^2) per row
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for inverse in (False, True):
+            got = dsp._fft_last_axis(x, inverse=inverse)
+            want = brute_dft(x, inverse=inverse)
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
 class TestDesignBandpass:
@@ -116,6 +127,26 @@ class TestApplyFilter:
         with pytest.raises(dsp.DspError):
             dsp.apply_filter(bp_filter, x)
 
+    @pytest.mark.parametrize("n_rows", [1, 3, 12])
+    def test_packed_rows_match_direct_convolution(self, bp_filter, n_rows):
+        # two rows share each complex transform; odd counts leave one half empty
+        rng = np.random.default_rng(40 + n_rows)
+        rows = rng.normal(size=(n_rows, 4096))
+        got = dsp._filter_rows(bp_filter, rows)
+        want = np.array([direct_fir(bp_filter.taps, row) for row in rows])
+        assert got.shape == rows.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_cached_spectrum_stays_with_its_filter(self, bp_filter):
+        narrow = dsp.design_bandpass(512, 8.0, 30.0, 1691)  # same nfft as bp_filter
+        rows = np.random.default_rng(44).normal(size=(2, 4096))
+        wide_out = dsp._filter_rows(bp_filter, rows)
+        narrow_out = dsp._filter_rows(narrow, rows)
+        assert np.array_equal(dsp._filter_rows(bp_filter, rows), wide_out)
+        for filt, out in ((bp_filter, wide_out), (narrow, narrow_out)):
+            want = np.array([direct_fir(filt.taps, row) for row in rows])
+            assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestPsdEpoch:
     def test_zero_epoch(self):
@@ -158,3 +189,13 @@ class TestPsdEpoch:
     def test_rejects_wrong_length(self):
         with pytest.raises(dsp.DspError):
             dsp.psd_epoch(np.zeros(500), 512.0)
+
+    def test_matches_direct_periodogram(self):
+        rng = np.random.default_rng(34)
+        epochs = 5.0 * rng.normal(size=(3, 4, 512)) + 2.0
+        batched = dsp._psd_epoch_rows(epochs, 512.0)
+        assert batched.shape == (3, 4, 25)
+        for epoch, got in zip(epochs.reshape(-1, 512), batched.reshape(-1, 25)):
+            want = periodogram_psd(epoch, 512.0)
+            assert np.max(np.abs(dsp.psd_epoch(epoch, 512.0) - want)) <= 1e-12 * want.max()
+            assert np.max(np.abs(got - want)) <= 1e-12 * want.max()

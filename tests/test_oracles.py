@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_dft, freq_response, t_two_tailed_p
+from oracles import brute_dft, direct_fir, freq_response, periodogram_psd, t_two_tailed_p
 
 
 def test_brute_dft_impulse():
@@ -26,6 +26,36 @@ def test_brute_dft_matches_library():
     rng = np.random.default_rng(7)
     x = rng.normal(size=33) + 1j * rng.normal(size=33)
     assert np.allclose(brute_dft(x), np.fft.fft(x), atol=1e-9)
+
+
+def test_brute_dft_inverse_and_batch_match_library():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(2, 3, 16)) + 1j * rng.normal(size=(2, 3, 16))
+    assert np.allclose(brute_dft(x), np.fft.fft(x), atol=1e-9)
+    assert np.allclose(brute_dft(x, inverse=True), 16 * np.fft.ifft(x), atol=1e-9)
+
+
+def test_direct_fir_identity_and_library():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=40)
+    assert np.allclose(direct_fir([0.0, 1.0, 0.0], x), x, atol=0.0)
+    taps = rng.normal(size=7)
+    padded = np.pad(x, 3, mode="reflect")
+    assert np.allclose(direct_fir(taps, x), np.convolve(padded, taps, mode="valid"),
+                       atol=1e-12)
+
+
+def test_periodogram_on_bin_centered_tone():
+    # a 10 Hz cosine sits on bin 5 of each 256-point segment; a periodic
+    # Hamming window spreads it over bins 4..6 with weights -0.23, 0.54, -0.23
+    fs, amp = 512.0, 3.0
+    x = amp * np.cos(2.0 * np.pi * 10.0 * np.arange(512) / fs)
+    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(256) / 256)
+    scale = 2.0 / (fs * np.sum(window ** 2))
+    p = periodogram_psd(x, fs)
+    assert p[4] == pytest.approx(scale * (amp / 2 * 0.54 * 256) ** 2, rel=1e-9)
+    assert p[3] == pytest.approx(scale * (amp / 2 * 0.23 * 256) ** 2, rel=1e-9)
+    assert np.max(np.abs(p[6:])) <= 1e-18 * p[4]
 
 
 def test_freq_response_identity_and_delay():

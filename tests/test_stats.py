@@ -128,10 +128,8 @@ class TestSignificanceMap:
     def test_unequal_counts(self):
         rng = np.random.default_rng(11)
         a, b = rng.normal(size=(16, 300)) ** 2, rng.normal(size=(24, 300)) ** 2
-        with pytest.raises(ValueError, match="unequal"):
+        with pytest.raises(ValueError, match="equal right/left counts, got 16 right and 24 left"):
             significance_map(tiny_fm(a, b))
-        smap = significance_map(tiny_fm(a, b), allow_truncate=True)
-        assert smap.t.shape == (12, 25)
 
     def test_missing_label_rejected(self):
         rng = np.random.default_rng(12)
