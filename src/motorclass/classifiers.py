@@ -28,6 +28,9 @@ class TrainConfig:
     nb_floor_scale: float = 1e-9
     seed: int = 0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.svm_c <= 0 or self.svm_epochs < 1 or self.boost_rounds < 1:
             raise ValueError("svm_c, svm_epochs, boost_rounds must be positive")
@@ -82,7 +85,6 @@ def train_svm(X, y, cfg: TrainConfig) -> TrainedModel:
     its updates on the same decaying scale as the weight steps.
     """
     X, y = _check_xy(X, y)
-    cfg.validate()
     if len(set(y)) < 2:
         raise ValueError("SVM needs both classes in training data")
     ys = _signed(y)
@@ -109,7 +111,6 @@ def train_svm(X, y, cfg: TrainConfig) -> TrainedModel:
 
 def train_knn(X, y, cfg: TrainConfig) -> TrainedModel:
     X, y = _check_xy(X, y)
-    cfg.validate()
     if len(X) < cfg.knn_k:
         raise ValueError(f"KNN needs at least k={cfg.knn_k} training rows, got {len(X)}")
     return TrainedModel("KNN", {"X": X.copy(), "y": y.copy(), "k": cfg.knn_k})
@@ -117,7 +118,6 @@ def train_knn(X, y, cfg: TrainConfig) -> TrainedModel:
 
 def train_naive_bayes(X, y, cfg: TrainConfig) -> TrainedModel:
     X, y = _check_xy(X, y)
-    cfg.validate()
     means, variances, priors = {}, {}, {}
     for label in (RIGHT, LEFT):
         rows = X[y == label]
@@ -141,7 +141,6 @@ def train_adaboost(X, y, cfg: TrainConfig) -> TrainedModel:
     """AdaBoost.M1 over decision stumps; stump thresholds sit at midpoints of
     consecutive distinct sorted values per feature."""
     X, y = _check_xy(X, y)
-    cfg.validate()
     if len(set(y)) < 2:
         raise ValueError("AdaBoost needs both classes in training data")
     ys = _signed(y)
@@ -199,7 +198,6 @@ def train_adaboost(X, y, cfg: TrainConfig) -> TrainedModel:
 
 def train_lda(X, y, cfg: TrainConfig) -> TrainedModel:
     X, y = _check_xy(X, y)
-    cfg.validate()
     d = X.shape[1]
     rows = {}
     for label in (RIGHT, LEFT):

@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,17 +21,36 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+# the config schema: every key with its default, whose type sets the values
+# the key takes (_TYPES)
 DEFAULTS = {
-    "filter": {"low_hz": 1.0, "high_hz": 50.0, "taps": 1691},
-    "features": {"scale": "linear", "overlap": 0.0},
-    "stats": {"alpha": 0.05, "pairing": "rank", "level": "epoch"},
-    "train": {"svm_c": 1.0, "svm_epochs": 200, "knn_k": 5, "boost_rounds": 50,
-              "lda_gamma": 1e-3, "nb_floor_scale": 1e-9, "seed": 0},
-    "cv": {"k": 3, "seed": 0, "granularity": "trial"},
+    "filter": dict(zip(("low_hz", "high_hz", "taps"), evaluation.DEFAULT_FILTER)),
+    "features": {"scale": "linear"},
+    "stats": {"alpha": 0.05, "level": "epoch"},
+    "train": dataclasses.asdict(classifiers.TrainConfig()),
+    "cv": {"seed": 0, "granularity": "trial"},
     "fusion": {"ranking_source": "holdout"},
-    "synth": {"n_trials_per_side": 40, "asymmetry_db": 0.0, "target_band": "alpha",
-              "target_channels": ["C3", "C4"], "noise_model": 1.0, "seed": 0},
+    "synth": {**dataclasses.asdict(dataset.SynthConfig()),  # channels as a JSON list
+              "target_channels": list(dataset.SynthConfig.target_channels)},
     "io": {"input": None, "output": None},
+}
+
+CHOICES = {
+    ("features", "scale"): ("linear", "db"),
+    ("stats", "level"): ("epoch", "trial"),
+    ("cv", "granularity"): ("trial", "epoch"),
+    ("fusion", "ranking_source"): ("holdout", "train"),
+}
+
+# what a key takes, by the type of its default: no key takes a bool, NaN or
+# Infinity, and every integer setting is a count or a seed, so >= 0
+_TYPES = {
+    float: ("a number", lambda v: isinstance(v, (int, float)) and abs(v) < np.inf),
+    int: ("an integer >= 0", lambda v: isinstance(v, int) and v >= 0),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a list of strings",
+           lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+    type(None): ("a string or null", lambda v: v is None or isinstance(v, str)),
 }
 
 _KIND_ALIASES = {
@@ -72,55 +93,34 @@ def _merge_config(path) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
-    for section, key in (("filter", "low_hz"), ("filter", "high_hz"), ("stats", "alpha")):
-        value = cfg[section][key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise UsageError(f"{section}.{key} must be a number, got {value!r}")
-    taps = cfg["filter"]["taps"]
-    if not isinstance(taps, int) or isinstance(taps, bool):
-        raise UsageError(f"filter.taps must be an integer, got {taps!r}")
-    if cfg["features"]["scale"] not in ("linear", "db"):
-        raise UsageError("features.scale must be 'linear' or 'db'")
-    if cfg["features"]["overlap"] != 0.0:
-        raise UsageError("features.overlap: only 0.0 (non-overlapping epochs) is supported")
-    if cfg["stats"]["pairing"] != "rank":
-        raise UsageError("stats.pairing: only 'rank' (acquisition order) is supported")
-    if cfg["stats"]["level"] not in ("epoch", "trial"):
-        raise UsageError("stats.level must be 'epoch' or 'trial'")
-    if cfg["cv"]["k"] != evaluation.FOLD_K:
-        raise UsageError(f"cv.k: only {evaluation.FOLD_K} folds are supported")
-    if cfg["cv"]["granularity"] not in ("trial", "epoch"):
-        raise UsageError("cv.granularity must be 'trial' or 'epoch'")
-    if cfg["fusion"]["ranking_source"] not in ("holdout", "train"):
-        raise UsageError("fusion.ranking_source must be 'holdout' or 'train'")
+    for section, keys in DEFAULTS.items():
+        for key, default in keys.items():
+            value = cfg[section][key]
+            what, takes = _TYPES[type(default)]
+            if isinstance(value, bool) or not takes(value):
+                raise UsageError(f"{section}.{key} must be {what}, got {value!r}")
+    for (section, key), choices in CHOICES.items():
+        if cfg[section][key] not in choices:
+            raise UsageError(f"{section}.{key} must be one of {', '.join(choices)}")
     if not 0.0 <= cfg["stats"]["alpha"] <= 1.0:
         raise UsageError("stats.alpha must be in [0, 1]")
+    for section, build in (("train", classifiers.TrainConfig), ("synth", dataset.SynthConfig)):
+        try:
+            build(**cfg[section])
+        except (ValueError, dataset.DataError) as exc:
+            raise UsageError(f"{section}: {exc}") from exc
 
 
 def _apply_overrides(cfg: dict, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        cfg["synth"]["seed"] = args.seed
-        cfg["cv"]["seed"] = args.seed
-        cfg["train"]["seed"] = args.seed
-    if getattr(args, "scale", None):
-        cfg["features"]["scale"] = args.scale
-    if getattr(args, "alpha", None) is not None:
-        cfg["stats"]["alpha"] = args.alpha
-    if getattr(args, "level", None):
-        cfg["stats"]["level"] = args.level
-    if getattr(args, "ranking", None):
-        cfg["fusion"]["ranking_source"] = args.ranking
-    if getattr(args, "granularity", None):
-        cfg["cv"]["granularity"] = args.granularity
-    for attr, section_key in (("n_per_side", "n_trials_per_side"),
-                              ("asymmetry_db", "asymmetry_db"),
-                              ("band", "target_band"),
-                              ("noise_exponent", "noise_model")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            cfg["synth"][section_key] = value
-    if getattr(args, "channels", None):
-        cfg["synth"]["target_channels"] = [c.strip() for c in args.channels.split(",")]
+    """A flag whose dest is a config path, "section.key", overrides that key;
+    --seed sets the generator, fold and training seeds at once."""
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            cfg[section][key] = value
+    if args.seed is not None:
+        for section in ("synth", "cv", "train"):
+            cfg[section]["seed"] = args.seed
 
 
 def _require_out(args, cfg) -> Path:
@@ -171,15 +171,7 @@ def _parse_kinds(text):
 
 def cmd_synth(args, cfg) -> int:
     out = _require_out(args, cfg)
-    s = cfg["synth"]
-    synth_cfg = dataset.SynthConfig(
-        n_trials_per_side=int(s["n_trials_per_side"]),
-        asymmetry_db=float(s["asymmetry_db"]),
-        target_band=s["target_band"],
-        target_channels=tuple(s["target_channels"]),
-        noise_model=float(s["noise_model"]),
-        seed=int(s["seed"]))
-    ds = dataset.generate_synthetic(synth_cfg)
+    ds = dataset.generate_synthetic(dataset.SynthConfig(**cfg["synth"]))
     manifest = dataset.save_dataset(ds, out)
     _write_effective_config(cfg, out)
     print(manifest)
@@ -255,7 +247,7 @@ def cmd_evaluate(args, cfg) -> int:
     train_cfg = classifiers.TrainConfig(**cfg["train"])
     f = cfg["filter"]
     report = evaluation.run_cv(
-        ds, train_cfg, seed=int(cfg["cv"]["seed"]), kinds=kinds,
+        ds, train_cfg, seed=cfg["cv"]["seed"], kinds=kinds,
         ranking_source=cfg["fusion"]["ranking_source"],
         log_power=cfg["features"]["scale"] == "db",
         epoch_folds=cfg["cv"]["granularity"] == "epoch",
@@ -303,8 +295,6 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", type=Path, help="JSON config file")
     common.add_argument("--seed", type=int, help="override the command's seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads (results are thread-count independent)")
     common.add_argument("--out", type=Path, help="output directory")
 
     parser = _Parser(prog="motorclass",
@@ -312,11 +302,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset")
-    p.add_argument("--n-per-side", type=int, dest="n_per_side")
-    p.add_argument("--asymmetry-db", type=float, dest="asymmetry_db")
-    p.add_argument("--band", help="target band (delta/theta/alpha/beta)")
-    p.add_argument("--channels", help="comma-separated target channels")
-    p.add_argument("--noise-exponent", type=float, dest="noise_exponent")
+    p.add_argument("--n-per-side", type=int, dest="synth.n_trials_per_side")
+    p.add_argument("--asymmetry-db", type=float, dest="synth.asymmetry_db")
+    p.add_argument("--band", choices=sorted(dataset.GEN_BAND_HZ), dest="synth.target_band")
+    p.add_argument("--channels", dest="synth.target_channels",
+                   type=lambda text: [c.strip() for c in text.split(",")],
+                   help="comma-separated target channels")
+    p.add_argument("--noise-exponent", type=float, dest="synth.noise_model")
 
     p = sub.add_parser("validate", parents=[common], help="validate a dataset manifest")
     p.add_argument("manifest", nargs="?", type=Path)
@@ -326,21 +318,23 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("features", parents=[common], help="export the feature matrix CSV")
     p.add_argument("manifest", nargs="?", type=Path)
-    p.add_argument("--scale", choices=("linear", "db"))
+    p.add_argument("--scale", choices=CHOICES["features", "scale"], dest="features.scale")
 
     for name, help_text in (("ttest", "per-(channel,bin) paired t-test CSVs"),
                             ("bands", "band-aggregated difference CSV")):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("manifest", nargs="?", type=Path)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--level", choices=("epoch", "trial"))
+        p.add_argument("--alpha", type=float, dest="stats.alpha")
+        p.add_argument("--level", choices=CHOICES["stats", "level"], dest="stats.level")
 
     p = sub.add_parser("evaluate", parents=[common], help="cross-validated evaluation")
     p.add_argument("manifest", nargs="?", type=Path)
     p.add_argument("--classifiers", help="comma-separated subset (svm,knn,nb,boosting,lda)")
-    p.add_argument("--ranking", choices=("holdout", "train"))
-    p.add_argument("--granularity", choices=("trial", "epoch"), help="fold granularity")
-    p.add_argument("--scale", choices=("linear", "db"))
+    p.add_argument("--ranking", choices=CHOICES["fusion", "ranking_source"],
+                   dest="fusion.ranking_source")
+    p.add_argument("--granularity", choices=CHOICES["cv", "granularity"],
+                   dest="cv.granularity", help="fold granularity")
+    p.add_argument("--scale", choices=CHOICES["features", "scale"], dest="features.scale")
 
     p = sub.add_parser("report", parents=[common], help="combine evaluation reports")
     p.add_argument("reports", nargs="+", type=Path)
@@ -355,12 +349,13 @@ def main(argv=None) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required "
                              f"(one of: {', '.join(sorted(COMMANDS))})")
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
         cfg = _merge_config(args.config)
         _apply_overrides(cfg, args)
         _validate_config(cfg)
-        return COMMANDS[args.command](args, cfg)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                            file=sys.stderr)
+            return COMMANDS[args.command](args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -81,6 +81,10 @@ class SynthConfig:
     noise_model: float = 1.0  # pink-noise exponent alpha, power ~ 1/f^alpha
     seed: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "target_channels", tuple(self.target_channels))
+        self.validate()
+
     def validate(self) -> None:
         if self.n_trials_per_side < 1:
             raise DataError("BadConfig", "n_trials_per_side must be >= 1")
@@ -180,7 +184,6 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     band's baseline power. Replacing rather than adding keeps the planted band
     power exact per trial.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     freqs = np.arange(1, EPOCH_SAMPLES // 2)  # 1..255 Hz synthesis grid
     amp = _MICROVOLT_SCALE * freqs.astype(float) ** (-config.noise_model / 2.0)
@@ -279,10 +282,14 @@ def load_dataset(manifest_path) -> Dataset:
         fpath = path.parent / entry["file"]
         if not fpath.exists():
             raise DataError("MissingFile", str(fpath), trial_id=tid)
-        try:
-            table = np.loadtxt(fpath, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as exc:
-            raise DataError("BadTrialFile", str(exc), trial_id=tid) from exc
+        with open(fpath) as fh:
+            header = [name.strip() for name in fh.readline().split(",")]
+            if header != list(CHANNELS):
+                raise DataError("BadChannels", f"{fpath.name}: header {header}", trial_id=tid)
+            try:
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise DataError("BadTrialFile", str(exc), trial_id=tid) from exc
         if table.shape != (TRIAL_SAMPLES, len(CHANNELS)):
             raise DataError("BadSampleCount",
                             f"{fpath.name}: {table.shape[0]} rows x {table.shape[1]} cols, "
@@ -292,8 +299,7 @@ def load_dataset(manifest_path) -> Dataset:
                             trial_id=tid)
         trials.append(Trial(subject_id=manifest["subject_id"], trial_id=tid,
                             label=label, samples=np.ascontiguousarray(table.T)))
-    ds = Dataset(subject_id=manifest["subject_id"], trials=trials,
-                 channels=tuple(manifest["channels"]))
+    ds = Dataset(subject_id=manifest["subject_id"], trials=trials)
     if ds.count(RIGHT) != ds.count(LEFT):
         warnings.warn(f"imbalanced dataset: {ds.count(RIGHT)} right vs {ds.count(LEFT)} left")
     return ds

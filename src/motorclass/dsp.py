@@ -99,7 +99,7 @@ class FirFilter:
 
     taps: np.ndarray
     fs: float
-    band: tuple = (1.0, 50.0)
+    band: tuple
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

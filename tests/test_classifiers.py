@@ -35,6 +35,15 @@ SEP_X = pad([-1.0, 1.0])
 SEP_Y = np.array([LEFT, RIGHT])
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("bad", [dict(svm_c=0.0), dict(svm_epochs=0), dict(knn_k=4),
+                                     dict(boost_rounds=0), dict(lda_gamma=0.0),
+                                     dict(nb_floor_scale=-1.0)])
+    def test_invalid_config_cannot_be_built(self, bad):
+        with pytest.raises(ValueError):
+            cl.TrainConfig(**bad)
+
+
 class TestSvm:
     def test_separable_pair(self):
         m = cl.train_svm(SEP_X, SEP_Y, CFG)

@@ -1,13 +1,19 @@
 """Command-line surface: exit codes, file outputs, config plumbing, and the
 end-to-end pipeline on a small synthetic dataset."""
 
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motorclass import cli
 
@@ -75,7 +81,7 @@ class TestExitCodes:
     def test_bad_band(self, tmp_path, capsys):
         code, _, err = run(["synth", "--band", "gamma", "--out",
                             str(tmp_path / "o")], capsys)
-        assert code == 2
+        assert code == 1
         assert "gamma" in err
 
     def test_even_taps_is_numeric_error(self, tmp_path, capsys, ds_dir):
@@ -94,13 +100,30 @@ class TestExitCodes:
         ("filter", "taps", "abc", "usage error: filter.taps must be an integer"),
         ("filter", "low_hz", "1", "usage error: filter.low_hz must be a number"),
         ("stats", "alpha", "0.05", "usage error: stats.alpha must be a number"),
-    ], ids=["taps_string", "low_hz_string", "alpha_string"])
+        ("train", "svm_c", "1", "usage error: train.svm_c must be a number"),
+        ("train", "seed", 1.5, "usage error: train.seed must be an integer"),
+        ("train", "knn_k", 4, "usage error: train: knn_k must be a positive odd integer"),
+        ("train", "svm_epochs", 0, "usage error: train: svm_c, svm_epochs, boost_rounds"),
+        ("cv", "seed", "x", "usage error: cv.seed must be an integer"),
+        ("cv", "seed", 1.5, "usage error: cv.seed must be an integer"),
+        ("synth", "n_trials_per_side", "abc",
+         "usage error: synth.n_trials_per_side must be an integer"),
+        ("synth", "n_trials_per_side", 1.7,
+         "usage error: synth.n_trials_per_side must be an integer"),
+        ("synth", "asymmetry_db", -1, "usage error: synth: BadConfig: asymmetry_db must be >= 0"),
+        ("synth", "target_channels", "C3",
+         "usage error: synth.target_channels must be a list of strings"),
+        ("io", "output", 5, "usage error: io.output must be a string or null"),
+    ], ids=["taps_string", "low_hz_string", "alpha_string", "svm_c_string", "train_seed_float",
+            "knn_k_even", "svm_epochs_zero", "cv_seed_string", "cv_seed_float",
+            "n_trials_string", "n_trials_float", "asymmetry_negative", "channels_string",
+            "output_int"])
     def test_wrong_typed_config_is_usage_error(self, tmp_path, capsys, ds_dir,
                                                section, key, value, prefix):
+        # no --out, so io.output is the only output directory there is
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({section: {key: value}}))
-        code, _, err = run(["ttest", manifest(ds_dir), "--config", str(cfg),
-                            "--out", str(tmp_path / "o")], capsys)
+        code, _, err = run(["ttest", manifest(ds_dir), "--config", str(cfg)], capsys)
         assert code == cli.EXIT_USAGE
         assert err.startswith(prefix)
         assert len(err.strip().splitlines()) == 1
@@ -168,6 +191,17 @@ class TestValidate:
         code, _, err = run(["validate", str(src / "manifest.json")], capsys)
         assert code == 2
 
+    def test_imbalance_is_one_warning_line(self, ds_dir, tmp_path, capsys):
+        def three_right_two_left(trials):
+            trials[:] = ([e for e in trials if e["label"] == 1][:3]
+                         + [e for e in trials if e["label"] == 2][:2])
+
+        bad = edited_manifest(ds_dir, tmp_path, three_right_two_left)
+        code, out_text, err = run(["validate", bad], capsys)
+        assert code == 0
+        assert "ok: 5 trials (3 right, 2 left)" in out_text
+        assert err == "warning: imbalanced dataset: 3 right vs 2 left\n"
+
 
 class TestFeatures:
     def test_csv_shape(self, ds_dir, tmp_path, capsys):
@@ -222,9 +256,9 @@ class TestTtest:
     def test_unbalanced_manifest_is_data_error(self, ds_dir, tmp_path, capsys):
         bad = edited_manifest(ds_dir, tmp_path, lambda trials: trials.remove(
             next(entry for entry in trials if entry["label"] == 2)))
-        with pytest.warns(UserWarning, match="imbalanced"):
-            code, _, err = run(["ttest", bad, "--out", str(tmp_path / "o")], capsys)
+        code, _, err = run(["ttest", bad, "--out", str(tmp_path / "o")], capsys)
         assert code == cli.EXIT_DATA
+        assert err.startswith("warning: imbalanced dataset: 6 right vs 5 left\n")
         assert "equal right/left counts, got 48 right and 40 left" in err
         assert "allow_truncate" not in err
         assert "Traceback" not in err
@@ -306,6 +340,18 @@ class TestManifestEntries:
         assert err.startswith(prefix)
         assert "Traceback" not in err
 
+    def test_reversed_channel_columns(self, ds_dir, tmp_path, capsys):
+        lines = (ds_dir / "trial_0001.csv").read_text().splitlines()
+        reversed_csv = tmp_path / "reversed.csv"
+        reversed_csv.write_text("".join(",".join(line.split(",")[::-1]) + "\n"
+                                        for line in lines))
+        bad = edited_manifest(ds_dir, tmp_path,
+                              lambda trials: trials[1].update(file=str(reversed_csv)))
+        code, _, err = run(["evaluate", bad, "--out", str(tmp_path / "o")], capsys)
+        assert code == cli.EXIT_DATA
+        assert err.startswith("data error: BadChannels (trial 1): reversed.csv: header ['P4',")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestReport:
     def test_combines_two_seeds(self, ds_dir, tmp_path, capsys):
@@ -327,6 +373,40 @@ class TestReport:
         code, _, _ = run(["report", str(tmp_path / "none.json"), "--out",
                           str(tmp_path / "o")], capsys)
         assert code == 2
+
+
+class TestConfigSchema:
+    def test_readme_configuration_block_is_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == cli.DEFAULTS
+
+    @settings(max_examples=200, deadline=None)
+    @given(path=st.sampled_from([(section, key) for section, keys in cli.DEFAULTS.items()
+                                 for key in keys]),
+           value=st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+                           st.lists(st.one_of(st.text(), st.integers(), st.none()),
+                                    max_size=3),
+                           st.dictionaries(st.text(), st.integers(), max_size=2)))
+    def test_any_config_value_is_usage_or_data_error(self, path, value):
+        # with the manifest missing nothing loads: a bad value exits 1, a good one 2
+        section, key = path
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({section: {key: value}}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["evaluate", str(Path(tmp) / "missing.json"),
+                                 "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        assert code in (cli.EXIT_USAGE, cli.EXIT_DATA)
+        assert len(err.getvalue().splitlines()) == 1
+        # a value of another JSON type than the default's is always rejected
+        default = cli.DEFAULTS[section][key]
+        takes = {type(default)} | ({str} if default is None else
+                                   {int} if isinstance(default, float) else set())
+        if isinstance(value, bool) or type(value) not in takes:
+            assert code == cli.EXIT_USAGE
 
 
 class TestEntryPoint:
