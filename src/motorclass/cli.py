@@ -25,21 +25,21 @@ EXIT_NUMERIC = 3
 # the key takes (_TYPES)
 DEFAULTS = {
     "filter": dict(zip(("low_hz", "high_hz", "taps"), evaluation.DEFAULT_FILTER)),
-    "features": {"scale": "linear"},
-    "stats": {"alpha": 0.05, "level": "epoch"},
+    "features": {"scale": features.SCALES[0]},
+    "stats": {"alpha": stats.DEFAULT_ALPHA, "level": stats.LEVELS[0]},
     "train": dataclasses.asdict(classifiers.TrainConfig()),
-    "cv": {"seed": 0, "granularity": "trial"},
-    "fusion": {"ranking_source": "holdout"},
+    "cv": {"seed": 0, "granularity": evaluation.GRANULARITIES[0]},
+    "fusion": {"ranking_source": evaluation.RANKING_SOURCES[0]},
     "synth": {**dataclasses.asdict(dataset.SynthConfig()),  # channels as a JSON list
               "target_channels": list(dataset.SynthConfig.target_channels)},
     "io": {"input": None, "output": None},
 }
 
 CHOICES = {
-    ("features", "scale"): ("linear", "db"),
-    ("stats", "level"): ("epoch", "trial"),
-    ("cv", "granularity"): ("trial", "epoch"),
-    ("fusion", "ranking_source"): ("holdout", "train"),
+    ("features", "scale"): features.SCALES,
+    ("stats", "level"): stats.LEVELS,
+    ("cv", "granularity"): evaluation.GRANULARITIES,
+    ("fusion", "ranking_source"): evaluation.RANKING_SOURCES,
 }
 
 # what a key takes, by the type of its default: no key takes a bool, NaN or
@@ -53,10 +53,8 @@ _TYPES = {
     type(None): ("a string or null", lambda v: v is None or isinstance(v, str)),
 }
 
-_KIND_ALIASES = {
-    "svm": "SVM", "knn": "KNN", "naivebayes": "NaiveBayes", "nb": "NaiveBayes",
-    "boosting": "Boosting", "boost": "Boosting", "lda": "LDA",
-}
+_KIND_ALIASES = {**{kind.lower(): kind for kind in classifiers.MODEL_KINDS},
+                 "nb": "NaiveBayes", "boost": "Boosting"}
 
 
 class UsageError(Exception):
@@ -149,9 +147,9 @@ def _filter_from(cfg: dict) -> dsp.FirFilter:
     return dsp.design_bandpass(dataset.FS, f["low_hz"], f["high_hz"], f["taps"])
 
 
-def _feature_matrix(cfg: dict, manifest: Path, log_power: bool) -> features.FeatureMatrix:
+def _feature_matrix(cfg: dict, manifest: Path, scale: str) -> features.FeatureMatrix:
     ds = dataset.load_dataset(manifest)
-    return features.build_feature_matrix(ds, _filter_from(cfg), log_power=log_power)
+    return features.build_feature_matrix(ds, _filter_from(cfg), scale=scale)
 
 
 def _parse_kinds(text):
@@ -180,14 +178,6 @@ def cmd_synth(args, cfg) -> int:
 
 def cmd_validate(args, cfg) -> int:
     ds = dataset.load_dataset(_require_input(args, cfg))
-    problems = []
-    for trial in ds.trials:
-        for code, detail in dataset.validate_trial(trial):
-            problems.append(f"trial {trial.trial_id}: {code}: {detail}")
-    if problems:
-        for line in problems:
-            print(line, file=sys.stderr)
-        raise dataset.DataError("InvalidTrials", f"{len(problems)} violation(s)")
     flagged = 0
     if args.amplitude_check:
         for trial in ds.trials:
@@ -203,8 +193,7 @@ def cmd_validate(args, cfg) -> int:
 
 def cmd_features(args, cfg) -> int:
     out = _require_out(args, cfg)
-    fm = _feature_matrix(cfg, _require_input(args, cfg),
-                         log_power=cfg["features"]["scale"] == "db")
+    fm = _feature_matrix(cfg, _require_input(args, cfg), cfg["features"]["scale"])
     path = features.save_features_csv(fm, out / "features.csv")
     _write_effective_config(cfg, out)
     print(path)
@@ -213,7 +202,7 @@ def cmd_features(args, cfg) -> int:
 
 def _significance(args, cfg):
     # stats always run on linear power: the difference map is in density units
-    fm = _feature_matrix(cfg, _require_input(args, cfg), log_power=False)
+    fm = _feature_matrix(cfg, _require_input(args, cfg), "linear")
     return stats.significance_map(fm, alpha=cfg["stats"]["alpha"],
                                   level=cfg["stats"]["level"])
 
@@ -244,14 +233,10 @@ def cmd_evaluate(args, cfg) -> int:
     out = _require_out(args, cfg)
     ds = dataset.load_dataset(_require_input(args, cfg))
     kinds = _parse_kinds(args.classifiers)
-    train_cfg = classifiers.TrainConfig(**cfg["train"])
-    f = cfg["filter"]
     report = evaluation.run_cv(
-        ds, train_cfg, seed=cfg["cv"]["seed"], kinds=kinds,
-        ranking_source=cfg["fusion"]["ranking_source"],
-        log_power=cfg["features"]["scale"] == "db",
-        epoch_folds=cfg["cv"]["granularity"] == "epoch",
-        filter_spec=(f["low_hz"], f["high_hz"], f["taps"]))
+        ds, classifiers.TrainConfig(**cfg["train"]), seed=cfg["cv"]["seed"], kinds=kinds,
+        ranking_source=cfg["fusion"]["ranking_source"], scale=cfg["features"]["scale"],
+        granularity=cfg["cv"]["granularity"], filt=_filter_from(cfg))
     report["config"] = cfg
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     evaluation.report_to_csv(report, out / "report.csv")
@@ -264,13 +249,7 @@ def cmd_evaluate(args, cfg) -> int:
 
 def cmd_report(args, cfg) -> int:
     out = _require_out(args, cfg)
-    reports = []
-    for p in args.reports:
-        path = Path(p)
-        if not path.exists():
-            raise dataset.DataError("MissingFile", str(path))
-        reports.append(json.loads(path.read_text()))
-    combined = evaluation.batch_report(reports)
+    combined = evaluation.batch_report([evaluation.load_report(p) for p in args.reports])
     combined["config"] = cfg
     (out / "combined_report.json").write_text(
         json.dumps(combined, indent=2, sort_keys=True) + "\n")

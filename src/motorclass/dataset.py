@@ -147,26 +147,13 @@ def _line_shares(n_lines: int) -> np.ndarray:
 
 
 def _mirror_boost_channels(config: SynthConfig, label: int) -> list:
-    """Channels actually boosted for one trial: the target channels that fall on
-    the label's hemisphere, right-labeled trials on the right group and left on
-    the left (positions mirror across groups; midline targets are never boosted)."""
+    """Channels actually boosted for one trial: each lateral target, moved to
+    the same position in the label's hemisphere (right-labeled trials on the
+    right group, left on the left); midline targets are dropped."""
     group = RIGHT_GROUP if label == RIGHT else LEFT_GROUP
-    targets = {CHANNEL_INDEX[name] for name in config.target_channels}
-    side = set(group)
-    boosted = []
-    for name in config.target_channels:
-        i = CHANNEL_INDEX[name]
-        if i in side:
-            boosted.append(i)
-        elif i not in MIDLINE:
-            # mirror position into the label's hemisphere only if its mirror
-            # partner was not itself named as a target
-            other = (LEFT_GROUP, RIGHT_GROUP) if i in RIGHT_GROUP else (RIGHT_GROUP, LEFT_GROUP)
-            pos = other[0].index(i) if i in other[0] else other[1].index(i)
-            mirror = group[pos]
-            if mirror not in targets and mirror not in boosted:
-                boosted.append(mirror)
-    return sorted(set(boosted) & side)
+    lateral = LEFT_GROUP + RIGHT_GROUP
+    return sorted({group[lateral.index(i) % len(group)]
+                   for i in map(CHANNEL_INDEX.get, config.target_channels) if i not in MIDLINE})
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:
@@ -253,14 +240,20 @@ def load_dataset(manifest_path) -> Dataset:
     if not path.exists():
         raise DataError("MissingFile", str(path))
     manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise DataError("BadManifest", f"manifest must be an object, got {type(manifest).__name__}")
     for key in ("subject_id", "fs", "channels", "trials"):
         if key not in manifest:
             raise DataError("BadManifest", f"missing key {key!r}")
+    for key, kind in (("subject_id", str), ("trials", list)):
+        if not isinstance(manifest[key], kind):
+            raise DataError("BadManifest", f"{key} must be a {kind.__name__}, "
+                            f"got {type(manifest[key]).__name__}")
     if manifest["fs"] != FS:
-        raise DataError("BadSampleRate", f"manifest fs={manifest['fs']}, expected {FS}")
-    if list(manifest["channels"]) != list(CHANNELS):
+        raise DataError("BadSampleRate", f"manifest fs={manifest['fs']!r}, expected {FS}")
+    if manifest["channels"] != list(CHANNELS):
         raise DataError("BadChannels",
-                        f"manifest channels {manifest['channels']} != expected montage")
+                        f"manifest channels {manifest['channels']!r} != expected montage")
     if not manifest["trials"]:
         raise DataError("EmptyDataset", "manifest lists zero trials")
     trials = []
@@ -275,13 +268,14 @@ def load_dataset(manifest_path) -> Dataset:
             raise DataError("DuplicateTrialId", "listed more than once", trial_id=tid)
         seen.add(tid)
         label = entry.get("label")
-        if label not in (RIGHT, LEFT):
+        if type(label) is not int or label not in (RIGHT, LEFT):
             raise DataError("BadLabel", f"label={label!r}", trial_id=tid)
-        if "file" not in entry:
-            raise DataError("BadManifest", "trial entry has no 'file'", trial_id=tid)
-        fpath = path.parent / entry["file"]
-        if not fpath.exists():
-            raise DataError("MissingFile", str(fpath), trial_id=tid)
+        fname = entry.get("file")
+        if not isinstance(fname, str):
+            raise DataError("BadManifest", f"file={fname!r}, expected a string", trial_id=tid)
+        fpath = path.parent / fname
+        if not fpath.is_file():
+            raise DataError("MissingFile", repr(str(fpath)), trial_id=tid)
         with open(fpath) as fh:
             header = [name.strip() for name in fh.readline().split(",")]
             if header != list(CHANNELS):

@@ -3,19 +3,24 @@ confusion-matrix metrics, and per-classifier mean/std reports."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import classifiers, dsp, features, fusion
-from .dataset import FS, LEFT, RIGHT, Dataset, stratified_positions
+from .dataset import FS, LEFT, RIGHT, DataError, Dataset, stratified_positions
 
 FOLD_K = 3
 REPORT_ORDER = ("SVM", "KNN", "NaiveBayes", "Boosting", "LDA", "Rule")
 METRIC_NAMES = ("accuracy", "precision", "recall", "f_score")
 
 DEFAULT_FILTER = (1.0, 50.0, 1691)
+# what ranks the models for the top-3 rule; the first is the default
+RANKING_SOURCES = ("holdout", "train")
+# the units folds are drawn over; the first is the default
+GRANULARITIES = ("trial", "epoch")
 
 
 @dataclass
@@ -72,23 +77,17 @@ def compute_metrics(cm: ConfusionMatrix) -> Metrics:
     if cm.total == 0:
         raise ValueError("empty confusion matrix")
     degenerate = []
-    accuracy = (cm.tp + cm.tn) / cm.total
-    if cm.tp + cm.fp == 0:
-        precision = 0.0
-        degenerate.append("precision")
-    else:
-        precision = cm.tp / (cm.tp + cm.fp)
-    if cm.tp + cm.fn == 0:
-        recall = 0.0
-        degenerate.append("recall")
-    else:
-        recall = cm.tp / (cm.tp + cm.fn)
-    if precision + recall == 0:
-        f_score = 0.0
-        degenerate.append("f_score")
-    else:
-        f_score = 2.0 * precision * recall / (precision + recall)
-    return Metrics(accuracy, precision, recall, f_score, tuple(degenerate))
+
+    def ratio(name, num, den):
+        if den == 0:
+            degenerate.append(name)
+            return 0.0
+        return num / den
+
+    precision = ratio("precision", cm.tp, cm.tp + cm.fp)
+    recall = ratio("recall", cm.tp, cm.tp + cm.fn)
+    f_score = ratio("f_score", 2.0 * precision * recall, precision + recall)
+    return Metrics((cm.tp + cm.tn) / cm.total, precision, recall, f_score, tuple(degenerate))
 
 
 def _confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
@@ -101,26 +100,28 @@ def _confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
 
 
 def run_cv(dataset: Dataset, cfg: classifiers.TrainConfig, seed: int,
-           kinds=None, ranking_source: str = "holdout",
-           log_power: bool = False, epoch_folds: bool = False,
-           filter_spec=DEFAULT_FILTER) -> dict:
+           kinds=None, ranking_source: str = RANKING_SOURCES[0],
+           scale: str = features.SCALES[0], granularity: str = GRANULARITIES[0],
+           filt: dsp.FirFilter | None = None) -> dict:
     """Full cross-validated evaluation; returns the report as a plain dict.
 
     Per fold: fit the scaler on training rows only, train the requested models
     (default all five), rank them for the rule ensemble on an inner
     calibration holdout (or on training accuracy with ranking_source="train"),
     refit on the whole training fold, then score the held-out fold's epochs.
+    Folds split trials, or epoch rows with granularity="epoch"; filt=None is DEFAULT_FILTER.
     """
-    if ranking_source not in ("holdout", "train"):
-        raise ValueError(f"ranking_source must be 'holdout' or 'train', got {ranking_source!r}")
+    if ranking_source not in RANKING_SOURCES:
+        raise ValueError(f"ranking_source must be one of {RANKING_SOURCES}, got {ranking_source!r}")
+    if granularity not in GRANULARITIES:
+        raise ValueError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
     kinds = classifiers.MODEL_KINDS if kinds is None else tuple(kinds)
     use_rule = len(kinds) >= 3
-    low, high, taps = filter_spec
-    filt = dsp.design_bandpass(FS, low, high, taps)
-    fm = features.build_feature_matrix(dataset, filt, log_power=log_power)
+    fm = features.build_feature_matrix(
+        dataset, filt or dsp.design_bandpass(FS, *DEFAULT_FILTER), scale=scale)
 
     # folds and calibration holdouts are drawn per unit, then broadcast to rows
-    units = np.arange(fm.n_rows) if epoch_folds else fm.trial_ids
+    units = fm.trial_ids if granularity == "trial" else np.arange(fm.n_rows)
     unit_ids, first_row, row_unit = np.unique(units, return_index=True, return_inverse=True)
     unit_y = fm.y[first_row]
     unit_fold = _assign_folds(unit_y, seed)
@@ -189,6 +190,31 @@ def _summarize(kind: str, cms: list) -> dict:
     entry["per_fold"] = [{"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn}
                          for cm in cms]
     return entry
+
+
+def load_report(path) -> dict:
+    """Read an evaluate report.json, checking every field batch_report reads."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError("MissingFile", str(path))
+    try:
+        report = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError("BadReport", f"{path}: {exc}") from exc
+    counts = {f.name for f in fields(ConfusionMatrix)}
+
+    def is_row(entry):
+        folds = entry.get("per_fold") if isinstance(entry, dict) else None
+        return (isinstance(folds, list) and folds and isinstance(entry.get("kind"), str)
+                and all(isinstance(cm, dict) and set(cm) == counts
+                        and all(type(n) is int and n >= 0 for n in cm.values())
+                        for cm in folds))
+
+    rows = report.get("classifiers") if isinstance(report, dict) else None
+    if not (isinstance(rows, list) and rows and isinstance(report.get("subject_id"), str)
+            and all(map(is_row, rows))):
+        raise DataError("BadReport", f"{path} is not an evaluate report")
+    return report
 
 
 def batch_report(reports: list) -> dict:

@@ -12,6 +12,8 @@ from . import dsp
 from .dataset import CHANNELS, EPOCHS_PER_TRIAL, EPOCH_SAMPLES, Dataset
 
 N_FEATURES = len(CHANNELS) * dsp.PSD_BINS  # 12 * 25 = 300
+# power scales of the feature values; the first is the default
+SCALES = ("linear", "db")
 
 
 @dataclass
@@ -55,12 +57,14 @@ def epoch_trial(samples: np.ndarray) -> np.ndarray:
 
 
 def build_feature_matrix(dataset: Dataset, filt: dsp.FirFilter,
-                         log_power: bool = False) -> FeatureMatrix:
+                         scale: str = SCALES[0]) -> FeatureMatrix:
     """Filter each full trial, epoch it, and compute per-channel spectral rows.
 
-    Row order is (trial order in the dataset, epoch index). With log_power the
+    Row order is (trial order in the dataset, epoch index). With scale="db" the
     300 values are reported as dB (10 log10) rather than linear density.
     """
+    if scale not in SCALES:
+        raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     n_trials = len(dataset.trials)
     X = np.empty((n_trials * EPOCHS_PER_TRIAL, N_FEATURES))
     y = np.empty(n_trials * EPOCHS_PER_TRIAL, dtype=int)
@@ -76,7 +80,7 @@ def build_feature_matrix(dataset: Dataset, filt: dsp.FirFilter,
         y[sl] = trial.label
         trial_ids[sl] = trial.trial_id
         epoch_idx[sl] = np.arange(EPOCHS_PER_TRIAL)
-    if log_power:
+    if scale == "db":
         X = 10.0 * np.log10(np.maximum(X, 1e-20))
     if not np.all(np.isfinite(X)):
         raise dsp.DspError("feature matrix contains non-finite values")

@@ -12,6 +12,8 @@ from . import classifiers
 from .dataset import LEFT, RIGHT, stratified_positions
 
 TIE_PRECEDENCE = ("SVM", "LDA", "Boosting", "KNN", "NaiveBayes")
+# share of each side's training units held out to rank the models
+CALIB_FRACTION = 0.25
 
 
 @dataclass
@@ -58,16 +60,14 @@ def rule_predict(ensemble: RuleEnsemble, rows):
     return int(out[0]) if single else out
 
 
-def make_calibration_split(trial_ids, trial_labels, seed, fraction: float = 0.25):
+def make_calibration_split(trial_ids, trial_labels, seed):
     """Deterministic stratified trial-level split: per label, a seeded shuffle
-    of the sorted trial ids sends floor(fraction * n) trials (at least 1) to
-    the calibration side. Returns (fit_ids, calib_ids) as sorted arrays."""
+    of the sorted trial ids sends floor(CALIB_FRACTION * n) trials (at least 1)
+    to the calibration side. Returns (fit_ids, calib_ids) as sorted arrays."""
     trial_ids = np.asarray(trial_ids)
     trial_labels = np.asarray(trial_labels)
     if len(trial_ids) != len(trial_labels):
         raise ValueError("trial_ids and trial_labels must align")
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be in (0, 1)")
     order = np.argsort(trial_ids, kind="stable")
     ids, labels = trial_ids[order], trial_labels[order]
     n_calib = np.zeros(len(ids), dtype=int)
@@ -75,6 +75,6 @@ def make_calibration_split(trial_ids, trial_labels, seed, fraction: float = 0.25
         n = int((labels == label).sum())
         if n < 2:
             raise ValueError(f"need >= 2 trials of label {label} to split")
-        n_calib[labels == label] = max(1, int(fraction * n))
+        n_calib[labels == label] = max(1, int(CALIB_FRACTION * n))
     calib = stratified_positions(labels, seed) < n_calib
     return ids[~calib], ids[calib]

@@ -23,6 +23,10 @@ BAND_BINS = {
 }
 BAND_ORDER = ("delta", "theta", "alpha", "beta")
 
+DEFAULT_ALPHA = 0.05
+# what the t-test pairs: epoch rows or per-trial means; the first is the default
+LEVELS = ("epoch", "trial")
+
 
 @dataclass
 class TTestResult:
@@ -62,25 +66,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 301):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even then the odd coefficient of step m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-12:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
@@ -147,8 +144,8 @@ def _trial_means(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, EPOCHS_PER_TRIAL, rows.shape[1]).mean(axis=1)
 
 
-def significance_map(fm: FeatureMatrix, alpha: float = 0.05,
-                     level: str = "epoch") -> SignificanceMap:
+def significance_map(fm: FeatureMatrix, alpha: float = DEFAULT_ALPHA,
+                     level: str = LEVELS[0]) -> SignificanceMap:
     """Per-(channel, bin) paired t-test of right-label rows against left-label
     rows, paired by acquisition rank.
 
@@ -156,8 +153,8 @@ def significance_map(fm: FeatureMatrix, alpha: float = 0.05,
     first averages each trial's 8 epochs. Unequal per-label counts are an
     error: every right row needs a left partner of the same rank.
     """
-    if level not in ("epoch", "trial"):
-        raise ValueError(f"level must be 'epoch' or 'trial', got {level!r}")
+    if level not in LEVELS:
+        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     right = _ordered_rows(fm, RIGHT)
     left = _ordered_rows(fm, LEFT)
     if len(right) == 0 or len(left) == 0:

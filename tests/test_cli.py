@@ -3,6 +3,7 @@ end-to-end pipeline on a small synthetic dataset."""
 
 import contextlib
 import csv
+import inspect
 import io
 import json
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motorclass import cli
+from motorclass import cli, evaluation, features, stats
 
 
 def run(argv, capsys):
@@ -37,13 +38,15 @@ def manifest(ds_dir):
     return str(ds_dir / "manifest.json")
 
 
-def edited_manifest(ds_dir, tmp_path, mutate):
+def edited_manifest(ds_dir, tmp_path, mutate=lambda trials: None, **fields):
     """A copy of the dataset's manifest in tmp_path, trial files referenced by
-    absolute path, after mutate(trials) has edited its trial list."""
+    absolute path, after mutate(trials) has edited its trial list and fields
+    have replaced its top-level fields."""
     blob = json.loads((ds_dir / "manifest.json").read_text())
     for entry in blob["trials"]:
         entry["file"] = str(ds_dir / entry["file"])
     mutate(blob["trials"])
+    blob.update(fields)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(blob))
     return str(path)
@@ -332,13 +335,36 @@ class TestManifestEntries:
          "data error: DuplicateTrialId (trial 0)"),
         (lambda trials: trials.__setitem__(1, 1),
          "data error: BadManifest: trial entry must be a JSON object"),
-    ], ids=["no_file", "no_trial_id", "duplicate_trial_id", "not_an_object"])
+        (lambda trials: trials[1].update(file=7),
+         "data error: BadManifest (trial 1): file=7, expected a string"),
+        (lambda trials: trials[1].update(label=True), "data error: BadLabel (trial 1): label=True"),
+    ], ids=["no_file", "no_trial_id", "duplicate_trial_id", "not_an_object", "file_not_a_string",
+            "label_bool"])
     def test_rejected_as_data_error(self, ds_dir, tmp_path, capsys, mutate, prefix):
         bad = edited_manifest(ds_dir, tmp_path, mutate)
         code, _, err = run(["evaluate", bad, "--out", str(tmp_path / "o")], capsys)
         assert code == cli.EXIT_DATA
         assert err.startswith(prefix)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("subject_id", [1], "BadManifest: subject_id must be a str, got list"),
+        ("fs", "512", "BadSampleRate: manifest fs='512', expected 512"),
+        ("channels", 5, "BadChannels: manifest channels 5 != expected montage"),
+        ("trials", {"a": 1}, "BadManifest: trials must be a list, got dict"),
+    ], ids=["subject_id_list", "fs_string", "channels_int", "trials_object"])
+    def test_bad_field_is_data_error(self, ds_dir, tmp_path, capsys, field, value, message):
+        bad = edited_manifest(ds_dir, tmp_path, **{field: value})
+        code, _, err = run(["validate", bad], capsys)
+        assert code == cli.EXIT_DATA
+        assert err == f"data error: {message}\n"
+
+    def test_root_not_an_object(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(["subject_id", "fs", "channels", "trials"]))
+        code, _, err = run(["validate", str(bad)], capsys)
+        assert code == cli.EXIT_DATA
+        assert err == "data error: BadManifest: manifest must be an object, got list\n"
 
     def test_reversed_channel_columns(self, ds_dir, tmp_path, capsys):
         lines = (ds_dir / "trial_0001.csv").read_text().splitlines()
@@ -351,6 +377,44 @@ class TestManifestEntries:
         assert code == cli.EXIT_DATA
         assert err.startswith("data error: BadChannels (trial 1): reversed.csv: header ['P4',")
         assert len(err.strip().splitlines()) == 1
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=5)
+
+
+class TestManifestFuzz:
+    TOP = ("subject_id", "fs", "channels", "trials")
+    ENTRY = ("trial_id", "label", "file")
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(TOP + ENTRY + ("entry",)), value=JSON_VALUES,
+           drop=st.booleans())
+    def test_any_field_value_is_ok_or_data_error(self, ds_dir, field, value, drop):
+        # one right and one left trial; field is dropped or set to value
+        blob = json.loads((ds_dir / "manifest.json").read_text())
+        blob["trials"] = [blob["trials"][0], blob["trials"][-1]]
+        for entry in blob["trials"]:
+            entry["file"] = str(ds_dir / entry["file"])
+        target = blob if field in self.TOP else blob["trials"][0]
+        if field == "entry":
+            blob["trials"][0] = value
+        elif drop:
+            del target[field]
+        else:
+            target[field] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "manifest.json"
+            path.write_text(json.dumps(blob))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["validate", str(path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_DATA)
+        for line in err.getvalue().splitlines():
+            assert line.startswith(("data error:", "warning:")), line
 
 
 class TestReport:
@@ -368,6 +432,27 @@ class TestReport:
         header = (out / "combined_report.csv").read_text().splitlines()[0]
         assert "accuracy_std_folds" in header and "accuracy_std_subjects" in header
         assert "+/-" in out_text
+
+    @pytest.mark.parametrize("blob", [{}, [1], {"subject_id": "s", "classifiers": 5}],
+                             ids=["empty_object", "list", "classifiers_int"])
+    def test_non_report_is_data_error(self, tmp_path, capsys, blob):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        code, _, err = run(["report", str(bad), "--out", str(tmp_path / "o")], capsys)
+        assert code == cli.EXIT_DATA
+        assert err.startswith(f"data error: BadReport: {bad} is not an evaluate report")
+        assert len(err.splitlines()) == 1
+
+    def test_combined_report_fed_back_is_data_error(self, ds_dir, tmp_path, capsys):
+        a, out = tmp_path / "s0", tmp_path / "combined"
+        run(["evaluate", manifest(ds_dir), "--out", str(a), "--classifiers", "svm,lda"], capsys)
+        run(["report", str(a / "report.json"), "--out", str(out)], capsys)
+        combined = out / "combined_report.json"
+        code, _, err = run(["report", str(a / "report.json"), str(combined), "--out",
+                            str(tmp_path / "again")], capsys)
+        assert code == cli.EXIT_DATA
+        assert err.startswith(f"data error: BadReport: {combined} is not an evaluate report")
+        assert len(err.splitlines()) == 1
 
     def test_missing_report_file(self, tmp_path, capsys):
         code, _, _ = run(["report", str(tmp_path / "none.json"), "--out",
@@ -407,6 +492,24 @@ class TestConfigSchema:
                                    {int} if isinstance(default, float) else set())
         if isinstance(value, bool) or type(value) not in takes:
             assert code == cli.EXIT_USAGE
+
+
+    def test_library_modules_own_choices_and_defaults(self):
+        # the CLI reads each choice list and default from the module that uses it
+        assert cli.CHOICES["features", "scale"] is features.SCALES
+        assert cli.CHOICES["stats", "level"] is stats.LEVELS
+        assert cli.CHOICES["cv", "granularity"] is evaluation.GRANULARITIES
+        assert cli.CHOICES["fusion", "ranking_source"] is evaluation.RANKING_SOURCES
+        for fn, keys in (
+                (stats.significance_map, {"alpha": ("stats", "alpha"),
+                                          "level": ("stats", "level")}),
+                (features.build_feature_matrix, {"scale": ("features", "scale")}),
+                (evaluation.run_cv, {"ranking_source": ("fusion", "ranking_source"),
+                                     "scale": ("features", "scale"),
+                                     "granularity": ("cv", "granularity")})):
+            params = inspect.signature(fn).parameters
+            for name, (section, key) in keys.items():
+                assert params[name].default == cli.DEFAULTS[section][key], (fn.__name__, name)
 
 
 class TestEntryPoint:

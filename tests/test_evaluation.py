@@ -176,16 +176,18 @@ class TestRunCv:
             ev.run_cv(ds6, TrainConfig(seed=0), seed=0, ranking_source="oracle")
 
     def test_epoch_fold_granularity(self, ds6):
-        report = ev.run_cv(ds6, TrainConfig(seed=0), seed=0, epoch_folds=True)
+        report = ev.run_cv(ds6, TrainConfig(seed=0), seed=0, granularity="epoch")
         totals = [cm["tp"] + cm["fp"] + cm["fn"] + cm["tn"]
                   for cm in report["classifiers"][0]["per_fold"]]
         assert sum(totals) == 96
         assert max(totals) - min(totals) <= 8
+        with pytest.raises(ValueError, match="granularity must be one of"):
+            ev.run_cv(ds6, TrainConfig(seed=0), seed=0, granularity="subject")
 
     @pytest.mark.parametrize("granularity,ranking", sorted(GOLDEN_PER_FOLD))
     def test_golden_per_fold_counts(self, ds6, granularity, ranking):
         report = ev.run_cv(ds6, TrainConfig(seed=0), seed=0, ranking_source=ranking,
-                           epoch_folds=granularity == "epoch")
+                           granularity=granularity)
         got = {e["kind"]: [(cm["tp"], cm["fp"], cm["fn"], cm["tn"]) for cm in e["per_fold"]]
                for e in report["classifiers"]}
         assert got == GOLDEN_PER_FOLD[(granularity, ranking)]

@@ -63,8 +63,10 @@ class TestBuildFeatureMatrix:
         assert np.array_equal(again.X, fm80.X)
 
     def test_log_power_view(self, ds80, bp_filter, fm80):
-        fm_db = build_feature_matrix(ds80, bp_filter, log_power=True)
+        fm_db = build_feature_matrix(ds80, bp_filter, scale="db")
         assert np.allclose(fm_db.X, 10.0 * np.log10(np.maximum(fm80.X, 1e-20)))
+        with pytest.raises(ValueError, match="scale must be one of"):
+            build_feature_matrix(ds80, bp_filter, scale="log")
 
 
 class TestScaler:

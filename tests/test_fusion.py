@@ -185,6 +185,4 @@ class TestCalibrationSplit:
         with pytest.raises(ValueError):
             fusion.make_calibration_split(np.arange(3), np.array([RIGHT, RIGHT, LEFT]), 0)
         with pytest.raises(ValueError):
-            fusion.make_calibration_split(self.IDS, self.LABELS, 0, fraction=0.0)
-        with pytest.raises(ValueError):
             fusion.make_calibration_split(np.arange(4), np.array([RIGHT, LEFT]), 0)
