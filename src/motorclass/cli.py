@@ -177,6 +177,9 @@ def cmd_synth(args, cfg) -> int:
 
 
 def cmd_validate(args, cfg) -> int:
+    if not 0.0 < args.amplitude_threshold < np.inf:
+        raise UsageError(f"--amplitude-threshold must be a finite number > 0, "
+                         f"got {args.amplitude_threshold!r}")
     ds = dataset.load_dataset(_require_input(args, cfg))
     flagged = 0
     if args.amplitude_check:
@@ -184,7 +187,7 @@ def cmd_validate(args, cfg) -> int:
             epochs = features.epoch_trial(np.asarray(trial.samples, dtype=float))
             flagged += int((np.abs(epochs).max(axis=(1, 2)) > args.amplitude_threshold).sum())
     msg = (f"ok: {len(ds.trials)} trials ({ds.count(dataset.RIGHT)} right, "
-           f"{ds.count(dataset.LEFT)} left), {len(ds.channels)} channels, fs={dataset.FS}")
+           f"{ds.count(dataset.LEFT)} left), {len(dataset.CHANNELS)} channels, fs={dataset.FS}")
     if args.amplitude_check:
         msg += f", {flagged} epoch(s) above {args.amplitude_threshold:g} uV"
     print(msg)

@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-FS = 512
+from . import dsp
+from .dsp import EPOCH_SAMPLES, FS
+
 TRIAL_SECONDS = 8
 TRIAL_SAMPLES = FS * TRIAL_SECONDS
 EPOCHS_PER_TRIAL = 8
-EPOCH_SAMPLES = FS  # 1 s epochs
 
 RIGHT = 1
 LEFT = 2
@@ -59,14 +60,12 @@ class Trial:
     trial_id: int
     label: int
     samples: np.ndarray  # (12 channels, 4096 samples), microvolts
-    fs: int = FS
 
 
 @dataclass
 class Dataset:
     subject_id: str
     trials: list
-    channels: tuple = CHANNELS
 
     def count(self, label: int) -> int:
         return sum(1 for t in self.trials if t.label == label)
@@ -113,24 +112,6 @@ def stratified_positions(labels, seed) -> np.ndarray:
         members = np.nonzero(labels == label)[0]
         pos[members[rng.permutation(len(members))]] = np.arange(len(members))
     return pos
-
-
-def validate_trial(trial: Trial) -> list:
-    """Return a list of (code, detail) violations; empty iff the trial is well formed."""
-    report = []
-    if trial.fs != FS:
-        report.append(("BadSampleRate", f"fs={trial.fs}, expected {FS}"))
-    if trial.samples.shape != (len(CHANNELS), TRIAL_SAMPLES):
-        report.append(("BadSampleCount",
-                       f"shape {trial.samples.shape}, expected {(len(CHANNELS), TRIAL_SAMPLES)}"))
-    else:
-        bad = np.argwhere(~np.isfinite(trial.samples))
-        if len(bad):
-            ch, idx = bad[0]
-            report.append(("NonFinite", f"channel {CHANNELS[ch]}, sample {idx}"))
-    if trial.label not in (RIGHT, LEFT):
-        report.append(("BadLabel", f"label={trial.label}"))
-    return report
 
 
 def _line_shares(n_lines: int) -> np.ndarray:
@@ -200,7 +181,8 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
         full = np.zeros((EPOCHS_PER_TRIAL, len(CHANNELS), EPOCH_SAMPLES), dtype=np.complex128)
         full[:, :, 1:EPOCH_SAMPLES // 2] = spectra
         full[:, :, EPOCH_SAMPLES // 2 + 1:] = np.conj(spectra[:, :, ::-1])
-        epochs = np.fft.ifft(full, axis=-1).real * (EPOCH_SAMPLES / np.sqrt(2.0 * EPOCH_SAMPLES))
+        # the unnormalized inverse DFT over sqrt(2N), so each frequency carries var_per_freq
+        epochs = dsp._fft_last_axis(full, inverse=True).real / np.sqrt(2.0 * EPOCH_SAMPLES)
         samples = epochs.transpose(1, 0, 2).reshape(len(CHANNELS), TRIAL_SAMPLES)
         for ch in boosted:
             phi = rng.uniform(0.0, 2.0 * np.pi)
@@ -220,12 +202,12 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
     for trial in dataset.trials:
         name = f"trial_{trial.trial_id:04d}.csv"
         np.savetxt(out / name, trial.samples.T, fmt="%.17g", delimiter=",",
-                   header=",".join(dataset.channels), comments="")
+                   header=",".join(CHANNELS), comments="")
         entries.append({"trial_id": trial.trial_id, "label": trial.label, "file": name})
     manifest = {
         "subject_id": dataset.subject_id,
         "fs": FS,
-        "channels": list(dataset.channels),
+        "channels": list(CHANNELS),
         "trials": entries,
     }
     path = out / "manifest.json"
@@ -279,17 +261,17 @@ def load_dataset(manifest_path) -> Dataset:
         with open(fpath) as fh:
             header = [name.strip() for name in fh.readline().split(",")]
             if header != list(CHANNELS):
-                raise DataError("BadChannels", f"{fpath.name}: header {header}", trial_id=tid)
+                raise DataError("BadChannels", f"{fpath.name!r}: header {header}", trial_id=tid)
             try:
                 table = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise DataError("BadTrialFile", str(exc), trial_id=tid) from exc
         if table.shape != (TRIAL_SAMPLES, len(CHANNELS)):
             raise DataError("BadSampleCount",
-                            f"{fpath.name}: {table.shape[0]} rows x {table.shape[1]} cols, "
+                            f"{fpath.name!r}: {table.shape[0]} rows x {table.shape[1]} cols, "
                             f"expected {TRIAL_SAMPLES} x {len(CHANNELS)}", trial_id=tid)
         if not np.all(np.isfinite(table)):
-            raise DataError("NonFinite", f"{fpath.name} contains non-finite samples",
+            raise DataError("NonFinite", f"{fpath.name!r} contains non-finite samples",
                             trial_id=tid)
         trials.append(Trial(subject_id=manifest["subject_id"], trial_id=tid,
                             label=label, samples=np.ascontiguousarray(table.T)))

@@ -1,4 +1,5 @@
-"""Numerical kernels: radix-2 FFT, windowed-sinc FIR band-pass, per-epoch PSD.
+"""Numerical kernels: radix-2 FFT, windowed-sinc FIR band-pass, per-epoch PSD,
+and the recording geometry they assume (FS, EPOCH_SAMPLES).
 
 Everything here is pure and deterministic. The FFT is implemented directly as
 a self-sorting (Stockham) radix-2 kernel: each stage combines the first and
@@ -16,9 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
+FS = 512               # recording sample rate, Hz
+EPOCH_SAMPLES = FS     # 1 s epochs
 PSD_BINS = 25          # retained bins 1..25, centers 2..50 Hz at 2 Hz spacing
 PSD_SEGMENT = 256      # FFT window length inside one epoch
-EPOCH_SAMPLES = 512
 
 
 class DspError(ValueError):
@@ -184,7 +186,7 @@ _WINDOW = _psd_window()
 _WINDOW_ENERGY = float(np.sum(_WINDOW ** 2))
 
 
-def _psd_epoch_rows(epochs: np.ndarray, fs: float) -> np.ndarray:
+def _psd_epoch_rows(epochs: np.ndarray) -> np.ndarray:
     """PSD along the last axis for (..., 512) arrays; returns (..., 25).
 
     The two segments a, b of an epoch ride as one complex row z = a + i*b.
@@ -199,18 +201,18 @@ def _psd_epoch_rows(epochs: np.ndarray, fs: float) -> np.ndarray:
     spec = _fft_last_axis(packed)
     sq = spec.real ** 2 + spec.imag ** 2
     both = sq[..., 1:PSD_BINS + 1] + sq[..., PSD_SEGMENT - 1:PSD_SEGMENT - PSD_BINS - 1:-1]
-    return both / (2.0 * fs * _WINDOW_ENERGY)
+    return both / (2.0 * FS * _WINDOW_ENERGY)
 
 
-def psd_epoch(epoch, fs: float = 512.0) -> np.ndarray:
+def psd_epoch(epoch) -> np.ndarray:
     """One-sided PSD of a 1 s epoch: two Hamming-windowed 256-point periodograms
-    averaged, density normalized by fs and window energy, bins 1..25 retained
+    averaged, density normalized by FS and window energy, bins 1..25 retained
     (2..50 Hz, bin k centered at 2k Hz). Segment means are removed so a constant
     offset cannot leak into the retained bins."""
     x = np.asarray(epoch, dtype=np.float64)
     if x.shape != (EPOCH_SAMPLES,):
         raise DspError(f"psd_epoch expects exactly {EPOCH_SAMPLES} samples, got {x.shape}")
-    return _psd_epoch_rows(x[None, :], fs)[0]
+    return _psd_epoch_rows(x[None, :])[0]
 
 
 def bin_frequencies() -> np.ndarray:

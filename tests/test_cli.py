@@ -182,6 +182,15 @@ class TestValidate:
         assert code == 0
         assert "above" in out_text
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-5"])
+    def test_bad_amplitude_threshold_is_usage_error(self, ds_dir, capsys, threshold):
+        code, out_text, err = run(["validate", manifest(ds_dir), "--amplitude-check",
+                                   "--amplitude-threshold", threshold], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out_text == ""
+        assert err.startswith("usage error: --amplitude-threshold must be a finite number > 0")
+        assert len(err.strip().splitlines()) == 1
+
     def test_corrupted_trial(self, tmp_path, capsys):
         src = tmp_path / "ds"
         run(["synth", "--out", str(src), "--n-per-side", "2", "--seed", "0"], capsys)
@@ -366,17 +375,28 @@ class TestManifestEntries:
         assert code == cli.EXIT_DATA
         assert err == "data error: BadManifest: manifest must be an object, got list\n"
 
-    def test_reversed_channel_columns(self, ds_dir, tmp_path, capsys):
+    @staticmethod
+    def _reversed_columns(ds_dir, path):
         lines = (ds_dir / "trial_0001.csv").read_text().splitlines()
-        reversed_csv = tmp_path / "reversed.csv"
-        reversed_csv.write_text("".join(",".join(line.split(",")[::-1]) + "\n"
-                                        for line in lines))
+        path.write_text("".join(",".join(line.split(",")[::-1]) + "\n" for line in lines))
+        return str(path)
+
+    def test_reversed_channel_columns(self, ds_dir, tmp_path, capsys):
+        reversed_csv = self._reversed_columns(ds_dir, tmp_path / "reversed.csv")
         bad = edited_manifest(ds_dir, tmp_path,
-                              lambda trials: trials[1].update(file=str(reversed_csv)))
+                              lambda trials: trials[1].update(file=reversed_csv))
         code, _, err = run(["evaluate", bad, "--out", str(tmp_path / "o")], capsys)
         assert code == cli.EXIT_DATA
-        assert err.startswith("data error: BadChannels (trial 1): reversed.csv: header ['P4',")
+        assert err.startswith("data error: BadChannels (trial 1): 'reversed.csv': header ['P4',")
         assert len(err.strip().splitlines()) == 1
+
+    def test_file_name_with_newline_is_one_line(self, ds_dir, tmp_path, capsys):
+        odd = self._reversed_columns(ds_dir, tmp_path / "odd\nname.csv")
+        bad = edited_manifest(ds_dir, tmp_path, lambda trials: trials[1].update(file=odd))
+        code, _, err = run(["validate", bad], capsys)
+        assert code == cli.EXIT_DATA
+        assert err.startswith("data error: BadChannels (trial 1): 'odd\\nname.csv': header")
+        assert len(err.splitlines()) == 1
 
 
 JSON_VALUES = st.recursive(

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from motorclass import dataset, features, fusion, stats
-from motorclass.dataset import (CHANNELS, LEFT, RIGHT, DataError, SynthConfig, Trial,
+from motorclass.dataset import (CHANNELS, LEFT, RIGHT, DataError, SynthConfig,
                                 generate_synthetic, load_dataset, save_dataset,
-                                stratified_positions, validate_trial)
+                                stratified_positions)
 
 
 def small_config(**kw):
@@ -85,7 +85,6 @@ class TestRoundTrip:
         manifest = save_dataset(ds, tmp_path / "d")
         loaded = load_dataset(manifest)
         assert loaded.subject_id == ds.subject_id
-        assert loaded.channels == ds.channels
         assert len(loaded.trials) == len(ds.trials)
         for a, b in zip(ds.trials, loaded.trials):
             assert a.trial_id == b.trial_id and a.label == b.label
@@ -158,34 +157,6 @@ class TestLoadErrors:
         with pytest.warns(UserWarning, match="imbalanced"):
             ds = load_dataset(manifest)
         assert len(ds.trials) == 3
-
-
-class TestValidateTrial:
-    def _trial(self, **kw):
-        base = dict(subject_id="s", trial_id=0, label=RIGHT,
-                    samples=np.zeros((12, 4096)), fs=512)
-        base.update(kw)
-        return Trial(**base)
-
-    def test_well_formed(self):
-        assert validate_trial(self._trial()) == []
-
-    def test_non_finite_locates_sample(self):
-        samples = np.zeros((12, 4096))
-        samples[4, 17] = np.inf
-        report = validate_trial(self._trial(samples=samples))
-        assert len(report) == 1
-        code, detail = report[0]
-        assert code == "NonFinite"
-        assert CHANNELS[4] in detail and "17" in detail
-
-    def test_bad_sample_rate(self):
-        report = validate_trial(self._trial(fs=256))
-        assert any(code == "BadSampleRate" for code, _ in report)
-
-    def test_bad_shape(self):
-        report = validate_trial(self._trial(samples=np.zeros((12, 4095))))
-        assert any(code == "BadSampleCount" for code, _ in report)
 
 
 class TestStratifiedPositions:

@@ -150,16 +150,16 @@ class TestApplyFilter:
 
 class TestPsdEpoch:
     def test_zero_epoch(self):
-        assert np.all(dsp.psd_epoch(np.zeros(512), 512.0) == 0.0)
+        assert np.all(dsp.psd_epoch(np.zeros(512)) == 0.0)
 
     def test_shape_and_bin_centers(self):
-        p = dsp.psd_epoch(np.ones(512), 512.0)
+        p = dsp.psd_epoch(np.ones(512))
         assert p.shape == (25,)
         assert np.array_equal(dsp.bin_frequencies(), np.arange(2, 51, 2))
 
     def test_sinusoid_concentration(self):
         t = np.arange(512) / 512.0
-        p = dsp.psd_epoch(np.sin(2.0 * np.pi * 10.0 * t), 512.0)
+        p = dsp.psd_epoch(np.sin(2.0 * np.pi * 10.0 * t))
         assert int(np.argmax(p)) == 4  # bin 5, 10 Hz
         assert p[3:6].sum() >= 0.85 * p.sum()
 
@@ -169,7 +169,7 @@ class TestPsdEpoch:
         total = 0.0
         for _ in range(100):
             x = rng.normal(scale=np.sqrt(sigma2), size=512)
-            total += dsp.psd_epoch(x, 512.0).sum() * 2.0
+            total += dsp.psd_epoch(x).sum() * 2.0
         got = total / 100.0
         want = sigma2 * 50.0 / 256.0  # retained 2-50 Hz share of a flat spectrum
         assert abs(got - want) <= 0.2 * want
@@ -177,25 +177,25 @@ class TestPsdEpoch:
     def test_offset_invariance(self):
         rng = np.random.default_rng(32)
         x = rng.normal(size=512)
-        p1 = dsp.psd_epoch(x, 512.0)
-        p2 = dsp.psd_epoch(x + 123.456, 512.0)
+        p1 = dsp.psd_epoch(x)
+        p2 = dsp.psd_epoch(x + 123.456)
         assert np.max(np.abs(p1 - p2)) <= 1e-9 * max(1.0, p1.max())
 
     def test_values_nonnegative_finite(self):
         rng = np.random.default_rng(33)
-        p = dsp.psd_epoch(rng.normal(size=512), 512.0)
+        p = dsp.psd_epoch(rng.normal(size=512))
         assert np.all(p >= 0.0) and np.all(np.isfinite(p))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(dsp.DspError):
-            dsp.psd_epoch(np.zeros(500), 512.0)
+            dsp.psd_epoch(np.zeros(500))
 
     def test_matches_direct_periodogram(self):
         rng = np.random.default_rng(34)
         epochs = 5.0 * rng.normal(size=(3, 4, 512)) + 2.0
-        batched = dsp._psd_epoch_rows(epochs, 512.0)
+        batched = dsp._psd_epoch_rows(epochs)
         assert batched.shape == (3, 4, 25)
         for epoch, got in zip(epochs.reshape(-1, 512), batched.reshape(-1, 25)):
             want = periodogram_psd(epoch, 512.0)
-            assert np.max(np.abs(dsp.psd_epoch(epoch, 512.0) - want)) <= 1e-12 * want.max()
+            assert np.max(np.abs(dsp.psd_epoch(epoch) - want)) <= 1e-12 * want.max()
             assert np.max(np.abs(got - want)) <= 1e-12 * want.max()

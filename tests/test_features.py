@@ -49,7 +49,7 @@ class TestBuildFeatureMatrix:
         # row 0 epoch 0, channel FCz at 10 Hz recomputed through the dsp path
         trial = ds80.trials[0]
         filtered = dsp.apply_filter(bp_filter, np.asarray(trial.samples[5], dtype=float))
-        expected = dsp.psd_epoch(filtered[:512], 512.0)[4]
+        expected = dsp.psd_epoch(filtered[:512])[4]
         col = feature_index("FCz", 10.0)
         assert fm80.X[0, col] == pytest.approx(expected, rel=1e-9)
 
