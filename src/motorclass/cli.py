@@ -138,8 +138,7 @@ def _require_input(args, cfg) -> Path:
 
 
 def _write_effective_config(cfg: dict, out: Path) -> None:
-    (out / "effective_config.json").write_text(
-        json.dumps(cfg, indent=2, sort_keys=True, default=str) + "\n")
+    dataset.write_json(out / "effective_config.json", cfg)
 
 
 def _filter_from(cfg: dict) -> dsp.FirFilter:
@@ -241,7 +240,7 @@ def cmd_evaluate(args, cfg) -> int:
         ranking_source=cfg["fusion"]["ranking_source"], scale=cfg["features"]["scale"],
         granularity=cfg["cv"]["granularity"], filt=_filter_from(cfg))
     report["config"] = cfg
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    dataset.write_json(out / "report.json", report)
     evaluation.report_to_csv(report, out / "report.csv")
     _write_effective_config(cfg, out)
     print(evaluation.format_table(report))
@@ -254,8 +253,7 @@ def cmd_report(args, cfg) -> int:
     out = _require_out(args, cfg)
     combined = evaluation.batch_report([evaluation.load_report(p) for p in args.reports])
     combined["config"] = cfg
-    (out / "combined_report.json").write_text(
-        json.dumps(combined, indent=2, sort_keys=True) + "\n")
+    dataset.write_json(out / "combined_report.json", combined)
     evaluation.report_to_csv(combined, out / "combined_report.csv")
     _write_effective_config(cfg, out)
     print(evaluation.format_table(combined))

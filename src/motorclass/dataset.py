@@ -96,6 +96,10 @@ class SynthConfig:
         for name in self.target_channels:
             if name not in CHANNEL_INDEX:
                 raise DataError("BadConfig", f"unknown channel in target_channels: {name!r}")
+        if self.asymmetry_db > 0 and all(CHANNEL_INDEX[name] in MIDLINE
+                                         for name in self.target_channels):
+            raise DataError("BadConfig", "asymmetry_db > 0 needs a lateral channel in "
+                            "target_channels (midline channels are never boosted)")
         if self.noise_model <= 0:
             raise DataError("BadConfig", "noise_model (pink exponent) must be > 0")
 
@@ -194,6 +198,25 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     return Dataset(subject_id="synthetic", trials=trials)
 
 
+def write_csv(path, header, fmt, rows) -> Path:
+    """The package's one CSV writer: the header names joined by commas, then
+    one line per row, ",".join(fmt) % tuple(row). rows is consumed once, so
+    a generator keeps one row in memory at a time."""
+    path = Path(path)
+    line = ",".join(fmt) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
+    return path
+
+
+def write_json(path, obj) -> Path:
+    """The package's one JSON writer: indented by 2, keys sorted, newline-terminated."""
+    path = Path(path)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 def save_dataset(dataset: Dataset, out_dir) -> Path:
     """Write manifest.json plus one CSV per trial; returns the manifest path."""
     out = Path(out_dir)
@@ -201,18 +224,15 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
     entries = []
     for trial in dataset.trials:
         name = f"trial_{trial.trial_id:04d}.csv"
-        np.savetxt(out / name, trial.samples.T, fmt="%.17g", delimiter=",",
-                   header=",".join(CHANNELS), comments="")
+        write_csv(out / name, CHANNELS, ["%.17g"] * len(CHANNELS),
+                  (row.tolist() for row in trial.samples.T))
         entries.append({"trial_id": trial.trial_id, "label": trial.label, "file": name})
-    manifest = {
+    return write_json(out / "manifest.json", {
         "subject_id": dataset.subject_id,
         "fs": FS,
         "channels": list(CHANNELS),
         "trials": entries,
-    }
-    path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    })
 
 
 def load_dataset(manifest_path) -> Dataset:

@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from . import classifiers, dsp, features, fusion
-from .dataset import FS, LEFT, RIGHT, DataError, Dataset, stratified_positions
+from .dataset import FS, LEFT, RIGHT, DataError, Dataset, stratified_positions, write_csv
 
 FOLD_K = 3
-REPORT_ORDER = ("SVM", "KNN", "NaiveBayes", "Boosting", "LDA", "Rule")
+REPORT_ORDER = (*classifiers.MODEL_KINDS, "Rule")
 METRIC_NAMES = ("accuracy", "precision", "recall", "f_score")
 
 DEFAULT_FILTER = (1.0, 50.0, 1691)
@@ -193,7 +193,8 @@ def _summarize(kind: str, cms: list) -> dict:
 
 
 def load_report(path) -> dict:
-    """Read an evaluate report.json, checking every field batch_report reads."""
+    """Read an evaluate report.json, checking every field batch_report reads;
+    each fold cell must count at least one row."""
     path = Path(path)
     if not path.exists():
         raise DataError("MissingFile", str(path))
@@ -208,6 +209,7 @@ def load_report(path) -> dict:
         return (isinstance(folds, list) and folds and isinstance(entry.get("kind"), str)
                 and all(isinstance(cm, dict) and set(cm) == counts
                         and all(type(n) is int and n >= 0 for n in cm.values())
+                        and sum(cm.values()) > 0
                         for cm in folds))
 
     rows = report.get("classifiers") if isinstance(report, dict) else None
@@ -251,22 +253,12 @@ def batch_report(reports: list) -> dict:
 
 def report_to_csv(report: dict, path) -> Path:
     """Table-shaped CSV: one row per classifier, mean and std per metric."""
-    path = Path(path)
-    std_keys = [k for k in report["classifiers"][0]
-                if k.startswith("accuracy_std")]
-    cols = ["classifier"]
-    for name in METRIC_NAMES:
-        cols.append(f"{name}_mean")
-        for sk in std_keys:
-            cols.append(name + sk[len("accuracy"):])
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for entry in report["classifiers"]:
-            row = [entry["kind"]]
-            for col in cols[1:]:
-                row.append(f"{entry[col]:.17g}")
-            fh.write(",".join(row) + "\n")
-    return path
+    std_suffixes = [k[len("accuracy"):] for k in report["classifiers"][0]
+                    if k.startswith("accuracy_std")]
+    cols = [name + suffix for name in METRIC_NAMES for suffix in ("_mean", *std_suffixes)]
+    return write_csv(path, ["classifier", *cols], ["%s"] + ["%.17g"] * len(cols),
+                     ([entry["kind"], *(entry[col] for col in cols)]
+                      for entry in report["classifiers"]))
 
 
 def format_table(report: dict) -> str:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .dataset import CHANNELS, EPOCHS_PER_TRIAL, EPOCH_SAMPLES, Dataset
+from .dataset import CHANNELS, EPOCHS_PER_TRIAL, EPOCH_SAMPLES, Dataset, write_csv
 
 N_FEATURES = len(CHANNELS) * dsp.PSD_BINS  # 12 * 25 = 300
 # power scales of the feature values; the first is the default
@@ -107,9 +107,7 @@ def apply_scaler(scaler: Scaler, X: np.ndarray) -> np.ndarray:
 
 
 def save_features_csv(fm: FeatureMatrix, path) -> Path:
-    path = Path(path)
-    header = "trial_id,epoch,label," + ",".join(feature_names())
     table = np.column_stack([fm.trial_ids, fm.epochs, fm.y, fm.X])
-    fmt = ["%d", "%d", "%d"] + ["%.17g"] * N_FEATURES
-    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
-    return path
+    return write_csv(path, ["trial_id", "epoch", "label", *feature_names()],
+                     ["%d", "%d", "%d"] + ["%.17g"] * N_FEATURES,
+                     (row.tolist() for row in table))

@@ -10,18 +10,15 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .dataset import CHANNELS, EPOCHS_PER_TRIAL, LEFT, RIGHT
+from .dataset import CHANNELS, EPOCHS_PER_TRIAL, GEN_BAND_HZ, LEFT, RIGHT, write_csv
 from .features import FeatureMatrix
 
-# PSD bins (1-based, center 2k Hz) assigned to the classical bands;
-# together the four bands partition bins 1..25
-BAND_BINS = {
-    "delta": (1,),
-    "theta": (2, 3),
-    "alpha": (4, 5, 6),
-    "beta": tuple(range(7, 26)),
-}
-BAND_ORDER = ("delta", "theta", "alpha", "beta")
+# PSD bins (1-based, center 2k Hz) assigned to the classical bands: bin k
+# goes to the band whose generation interval holds 2k Hz; together the four
+# bands partition bins 1..25
+BAND_BINS = {band: tuple(k for k in range(1, dsp.PSD_BINS + 1) if lo <= 2 * k <= hi)
+             for band, (lo, hi) in GEN_BAND_HZ.items()}
+BAND_ORDER = tuple(BAND_BINS)
 
 DEFAULT_ALPHA = 0.05
 # what the t-test pairs: epoch rows or per-trial means; the first is the default
@@ -198,39 +195,32 @@ def band_aggregate(smap: SignificanceMap) -> BandMap:
                    mean_delta_significant=mean_sig)
 
 
+def _cell_rows(*maps):
+    """(channel, freq_hz, one value per map) for each (channel, bin), channel-major."""
+    freqs = dsp.bin_frequencies().tolist()
+    for ch, name in enumerate(CHANNELS):
+        for freq, *cells in zip(freqs, *(m[ch].tolist() for m in maps)):
+            yield (name, freq, *cells)
+
+
 def save_map_csv(smap: SignificanceMap, path) -> Path:
-    path = Path(path)
-    freqs = dsp.bin_frequencies()
-    with open(path, "w") as fh:
-        fh.write("channel,freq_hz,t,p,delta,significant\n")
-        for ch, name in enumerate(CHANNELS):
-            for b in range(dsp.PSD_BINS):
-                fh.write(f"{name},{int(freqs[b])},{smap.t[ch, b]:.17g},"
-                         f"{smap.p[ch, b]:.17g},{smap.delta[ch, b]:.17g},"
-                         f"{int(smap.significant[ch, b])}\n")
-    return path
+    return write_csv(path, ("channel", "freq_hz", "t", "p", "delta", "significant"),
+                     ("%s", "%d", "%.17g", "%.17g", "%.17g", "%d"),
+                     _cell_rows(smap.t, smap.p, smap.delta, smap.significant))
 
 
 def save_band_csv(bmap: BandMap, path) -> Path:
-    path = Path(path)
-    with open(path, "w") as fh:
-        fh.write("band,channel,mean_delta,mean_delta_significant\n")
-        for bi, band in enumerate(bmap.bands):
-            for ch, name in enumerate(CHANNELS):
-                sig = bmap.mean_delta_significant[bi, ch]
-                sig_txt = "" if np.isnan(sig) else f"{sig:.17g}"
-                fh.write(f"{band},{name},{bmap.mean_delta[bi, ch]:.17g},{sig_txt}\n")
-    return path
+    """The significant-bins mean is an empty cell where a band has no significant bin."""
+    rows = ((band, name, mean, "" if math.isnan(sig) else "%.17g" % sig)
+            for band, means, sigs in zip(bmap.bands, bmap.mean_delta.tolist(),
+                                         bmap.mean_delta_significant.tolist())
+            for name, mean, sig in zip(CHANNELS, means, sigs))
+    return write_csv(path, ("band", "channel", "mean_delta", "mean_delta_significant"),
+                     ("%s", "%s", "%.17g", "%s"), rows)
 
 
 def save_psd_curves_csv(smap: SignificanceMap, path) -> Path:
     """Per-side mean power density per (channel, bin), companion to the map."""
-    path = Path(path)
-    freqs = dsp.bin_frequencies()
-    with open(path, "w") as fh:
-        fh.write("channel,freq_hz,mean_left,mean_right\n")
-        for ch, name in enumerate(CHANNELS):
-            for b in range(dsp.PSD_BINS):
-                fh.write(f"{name},{int(freqs[b])},{smap.mean_left[ch, b]:.17g},"
-                         f"{smap.mean_right[ch, b]:.17g}\n")
-    return path
+    return write_csv(path, ("channel", "freq_hz", "mean_left", "mean_right"),
+                     ("%s", "%d", "%.17g", "%.17g"),
+                     _cell_rows(smap.mean_left, smap.mean_right))

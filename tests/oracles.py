@@ -90,3 +90,52 @@ def t_two_tailed_p(t: float, df: float, tol: float = 1e-9) -> float:
         return 1.0
     central = 2.0 * _adaptive_simpson(lambda x: _t_density(x, df), 0.0, t, tol)
     return min(1.0, max(0.0, 1.0 - central))
+
+
+# The CSV tables as the package wrote them with hand-rolled f-string loops,
+# before every table went through one writer; the writer must reproduce them
+# byte for byte.
+
+def map_csv_text(channels, freqs, smap) -> str:
+    lines = ["channel,freq_hz,t,p,delta,significant\n"]
+    for ch, name in enumerate(channels):
+        for b in range(len(freqs)):
+            lines.append(f"{name},{int(freqs[b])},{smap.t[ch, b]:.17g},"
+                         f"{smap.p[ch, b]:.17g},{smap.delta[ch, b]:.17g},"
+                         f"{int(smap.significant[ch, b])}\n")
+    return "".join(lines)
+
+
+def band_csv_text(channels, bmap) -> str:
+    lines = ["band,channel,mean_delta,mean_delta_significant\n"]
+    for bi, band in enumerate(bmap.bands):
+        for ch, name in enumerate(channels):
+            sig = bmap.mean_delta_significant[bi, ch]
+            sig_txt = "" if np.isnan(sig) else f"{sig:.17g}"
+            lines.append(f"{band},{name},{bmap.mean_delta[bi, ch]:.17g},{sig_txt}\n")
+    return "".join(lines)
+
+
+def psd_curves_csv_text(channels, freqs, smap) -> str:
+    lines = ["channel,freq_hz,mean_left,mean_right\n"]
+    for ch, name in enumerate(channels):
+        for b in range(len(freqs)):
+            lines.append(f"{name},{int(freqs[b])},{smap.mean_left[ch, b]:.17g},"
+                         f"{smap.mean_right[ch, b]:.17g}\n")
+    return "".join(lines)
+
+
+def report_csv_text(metric_names, report) -> str:
+    std_keys = [k for k in report["classifiers"][0] if k.startswith("accuracy_std")]
+    cols = ["classifier"]
+    for name in metric_names:
+        cols.append(f"{name}_mean")
+        for sk in std_keys:
+            cols.append(name + sk[len("accuracy"):])
+    lines = [",".join(cols) + "\n"]
+    for entry in report["classifiers"]:
+        row = [entry["kind"]]
+        for col in cols[1:]:
+            row.append(f"{entry[col]:.17g}")
+        lines.append(",".join(row) + "\n")
+    return "".join(lines)

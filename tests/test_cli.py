@@ -117,15 +117,18 @@ class TestExitCodes:
         ("synth", "target_channels", "C3",
          "usage error: synth.target_channels must be a list of strings"),
         ("io", "output", 5, "usage error: io.output must be a string or null"),
+        ("synth", None, {"asymmetry_db": 6, "target_channels": ["FCz"]},
+         "usage error: synth: BadConfig: asymmetry_db > 0 needs a lateral channel"),
     ], ids=["taps_string", "low_hz_string", "alpha_string", "svm_c_string", "train_seed_float",
             "knn_k_even", "svm_epochs_zero", "cv_seed_string", "cv_seed_float",
             "n_trials_string", "n_trials_float", "asymmetry_negative", "channels_string",
-            "output_int"])
+            "output_int", "asymmetry_midline_only"])
     def test_wrong_typed_config_is_usage_error(self, tmp_path, capsys, ds_dir,
                                                section, key, value, prefix):
-        # no --out, so io.output is the only output directory there is
+        # no --out, so io.output is the only output directory there is; a row
+        # whose key is None gives several keys of its section at once
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({section: {key: value}}))
+        cfg.write_text(json.dumps({section: value if key is None else {key: value}}))
         code, _, err = run(["ttest", manifest(ds_dir), "--config", str(cfg)], capsys)
         assert code == cli.EXIT_USAGE
         assert err.startswith(prefix)
@@ -472,6 +475,18 @@ class TestReport:
                             str(tmp_path / "again")], capsys)
         assert code == cli.EXIT_DATA
         assert err.startswith(f"data error: BadReport: {combined} is not an evaluate report")
+        assert len(err.splitlines()) == 1
+
+    def test_empty_fold_cell_is_data_error(self, ds_dir, tmp_path, capsys):
+        a = tmp_path / "s0"
+        run(["evaluate", manifest(ds_dir), "--out", str(a), "--classifiers", "svm,lda"], capsys)
+        blob = json.loads((a / "report.json").read_text())
+        blob["classifiers"][1]["per_fold"][2] = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+        bad = tmp_path / "zero_cell.json"
+        bad.write_text(json.dumps(blob))
+        code, _, err = run(["report", str(bad), "--out", str(tmp_path / "o")], capsys)
+        assert code == cli.EXIT_DATA
+        assert err.startswith(f"data error: BadReport: {bad} is not an evaluate report")
         assert len(err.splitlines()) == 1
 
     def test_missing_report_file(self, tmp_path, capsys):

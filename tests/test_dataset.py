@@ -46,6 +46,11 @@ class TestGenerate:
             SynthConfig(asymmetry_db=-1.0).validate()
         with pytest.raises(DataError):
             SynthConfig(target_channels=("C3", "XX")).validate()
+        # midline targets are never boosted, so an asymmetry needs a lateral one
+        for targets in ((), ("FCz", "CPz")):
+            with pytest.raises(DataError, match="lateral"):
+                SynthConfig(asymmetry_db=3.0, target_channels=targets)
+        SynthConfig(asymmetry_db=0.0, target_channels=())
 
     def test_null_false_positive_rate(self, null_fractions):
         # asymmetry 0 -> about 5% of cells significant at p < 0.05
