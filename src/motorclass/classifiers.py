@@ -83,6 +83,12 @@ def train_svm(X, y, cfg: TrainConfig) -> TrainedModel:
 
     The unregularized bias follows the 1/t averaged-step schedule, which keeps
     its updates on the same decaying scale as the weight steps.
+
+    The Pegasos updates are the per-step ones; only the search for the next
+    margin violation is vectorized. v and b are fixed between violations, so a
+    window of upcoming steps is tested with one matrix-vector product and the
+    update is applied at its first violation. The window doubles (up to n
+    rows) after a clean window and halves when its first step violates.
     """
     X, y = _check_xy(X, y)
     if len(set(y)) < 2:
@@ -93,20 +99,32 @@ def train_svm(X, y, cfg: TrainConfig) -> TrainedModel:
     n, d = Xo.shape
     lam = 1.0 / (cfg.svm_c * n)
     rng = np.random.default_rng(cfg.seed)
+    # the whole schedule, one permutation per epoch; step t = 1..T is at index t-1
+    perms = np.concatenate([rng.permutation(n) for _ in range(cfg.svm_epochs)])
+    T = len(perms)
     # Pegasos scaled form (Shalev-Shwartz et al. 2011, sec. 2.4): w_t = v_t / (lambda t)
     # with v the running sum of margin-violating y x, so the weights before
-    # step t are v / (lambda (t-1)); v = 0 at t = 1
+    # step t are v / (lambda (t-1)) = v / denom[t-1]; v = 0 at t = 1
+    denom = lam * np.maximum(np.arange(T), 1)
     v = np.zeros(d)
     b = 0.0
-    t = 0
-    for _ in range(cfg.svm_epochs):
-        perm = rng.permutation(n)
-        for i in perm:
-            t += 1
-            if yo[i] * (Xo[i] @ v / (lam * max(t - 1, 1)) + b) < 1.0:
-                v += yo[i] * Xo[i]
-                b += yo[i] / t
-    return TrainedModel("SVM", {"w": v / (lam * t), "b": b})
+    s = 0  # steps done
+    width = 1
+    while s < T:
+        ii = perms[s:s + width]
+        viol = yo[ii] * (Xo[ii] @ v / denom[s:s + width] + b) < 1.0
+        k = int(viol.argmax())
+        if not viol[k]:
+            s += len(ii)
+            width = min(2 * width, n)
+            continue
+        i = ii[k]
+        s += k + 1
+        v += yo[i] * Xo[i]
+        b += yo[i] / s
+        if k == 0:
+            width = max(width // 2, 1)
+    return TrainedModel("SVM", {"w": v / (lam * T), "b": b})
 
 
 def train_knn(X, y, cfg: TrainConfig) -> TrainedModel:

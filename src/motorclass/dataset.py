@@ -218,7 +218,8 @@ def write_json(path, obj) -> Path:
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
-    """Write manifest.json plus one CSV per trial; returns the manifest path."""
+    """Write manifest.json plus one CSV per trial, then delete the trial_*.csv
+    files in out_dir that the manifest does not list; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -227,12 +228,17 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
         write_csv(out / name, CHANNELS, ["%.17g"] * len(CHANNELS),
                   (row.tolist() for row in trial.samples.T))
         entries.append({"trial_id": trial.trial_id, "label": trial.label, "file": name})
-    return write_json(out / "manifest.json", {
+    manifest = write_json(out / "manifest.json", {
         "subject_id": dataset.subject_id,
         "fs": FS,
         "channels": list(CHANNELS),
         "trials": entries,
     })
+    listed = {entry["file"] for entry in entries}
+    for stale in out.glob("trial_*.csv"):
+        if stale.name not in listed:
+            stale.unlink()
+    return manifest
 
 
 def load_dataset(manifest_path) -> Dataset:
@@ -240,8 +246,11 @@ def load_dataset(manifest_path) -> Dataset:
     first violation, warns (does not reject) on left/right imbalance."""
     path = Path(manifest_path)
     if not path.exists():
-        raise DataError("MissingFile", str(path))
-    manifest = json.loads(path.read_text())
+        raise DataError("MissingFile", repr(str(path)))
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DataError("BadManifest", f"{str(path)!r}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise DataError("BadManifest", f"manifest must be an object, got {type(manifest).__name__}")
     for key in ("subject_id", "fs", "channels", "trials"):
@@ -285,7 +294,7 @@ def load_dataset(manifest_path) -> Dataset:
             try:
                 table = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
-                raise DataError("BadTrialFile", str(exc), trial_id=tid) from exc
+                raise DataError("BadTrialFile", f"{fpath.name!r}: {exc}", trial_id=tid) from exc
         if table.shape != (TRIAL_SAMPLES, len(CHANNELS)):
             raise DataError("BadSampleCount",
                             f"{fpath.name!r}: {table.shape[0]} rows x {table.shape[1]} cols, "

@@ -2,13 +2,16 @@
 
 Everything here is deliberately slow and simple: quadratic-time DFT, direct
 tap-by-tap frequency response and convolution, a periodogram built on the
-quadratic-time DFT, adaptive quadrature of the t density. These are
-built and self-tested before the fast implementations they vet.
+quadratic-time DFT, adaptive quadrature of the t density, one Pegasos step
+at a time. These are built and self-tested before the fast implementations
+they vet.
 """
 
 import math
 
 import numpy as np
+
+from motorclass import classifiers as cl
 
 
 def brute_dft(x, inverse: bool = False) -> np.ndarray:
@@ -90,6 +93,30 @@ def t_two_tailed_p(t: float, df: float, tol: float = 1e-9) -> float:
         return 1.0
     central = 2.0 * _adaptive_simpson(lambda x: _t_density(x, df), 0.0, t, tol)
     return min(1.0, max(0.0, 1.0 - central))
+
+
+def pegasos_reference(X, y, cfg):
+    """(w, b) of classifiers.train_svm as it was written before its margin
+    search was vectorized: the same preprocessing, then one step at a time,
+    testing each step's margin with its own dot product."""
+    X, y = cl._check_xy(X, y)
+    ys = cl._signed(y)
+    order = cl._canonical_order(X, ys)
+    Xo, yo = X[order], ys[order]
+    n, d = Xo.shape
+    lam = 1.0 / (cfg.svm_c * n)
+    rng = np.random.default_rng(cfg.seed)
+    v = np.zeros(d)
+    b = 0.0
+    t = 0
+    for _ in range(cfg.svm_epochs):
+        perm = rng.permutation(n)
+        for i in perm:
+            t += 1
+            if yo[i] * (Xo[i] @ v / (lam * max(t - 1, 1)) + b) < 1.0:
+                v += yo[i] * Xo[i]
+                b += yo[i] / t
+    return v / (lam * t), b
 
 
 # The CSV tables as the package wrote them with hand-rolled f-string loops,

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motorclass import classifiers as cl
+from motorclass import evaluation, features
 from motorclass.dataset import LEFT, RIGHT
+from oracles import pegasos_reference
 
 CFG = cl.TrainConfig()
 
@@ -33,6 +37,46 @@ def pad(rows, width=6):
 
 SEP_X = pad([-1.0, 1.0])
 SEP_Y = np.array([LEFT, RIGHT])
+
+
+def fold_matrix(fm, shuffle_seed=None):
+    """The scaled training rows of fold 0 as run_cv builds them at seed 0;
+    with shuffle_seed the trial labels are shuffled first, as in the
+    label-shuffled acceptance fixture."""
+    _, first_row, row_trial = np.unique(fm.trial_ids, return_index=True, return_inverse=True)
+    trial_y = fm.y[first_row]
+    if shuffle_seed is not None:
+        np.random.default_rng(shuffle_seed).shuffle(trial_y)
+    train = evaluation._assign_folds(trial_y, 0)[row_trial] != 0
+    X = fm.X[train]
+    return features.apply_scaler(features.fit_scaler(X), X), trial_y[row_trial][train]
+
+
+def blob_rows(n=20, d=8):
+    (X, y), _ = blobs(5, n=n, d=d)
+    return X, y
+
+
+def zero_first_row():
+    X, y = blob_rows()
+    X[0] = 0.0
+    return X, y
+
+
+def duplicate_blocks():
+    X, y = blob_rows(n=6)
+    return np.repeat(X, 4, axis=0), np.repeat(y, 4)
+
+
+SVM_EQUALITY_CASES = {
+    "planted_fold": (fold_matrix, CFG),
+    "shuffled_fold": (lambda fm: fold_matrix(fm, shuffle_seed=1000), CFG),
+    "n2_d1_one_epoch": (lambda fm: ([[1.0], [-0.5]], [RIGHT, LEFT]), cl.TrainConfig(svm_epochs=1)),
+    "zero_first_row": (lambda fm: zero_first_row(), CFG),
+    "duplicate_blocks": (lambda fm: duplicate_blocks(), CFG),
+    "c_0.01": (lambda fm: blob_rows(), cl.TrainConfig(svm_c=0.01)),
+    "c_1e6": (lambda fm: blob_rows(), cl.TrainConfig(svm_c=1e6)),
+}
 
 
 class TestTrainConfig:
@@ -96,6 +140,32 @@ class TestSvm:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             cl.train_svm(pad([1.0, 2.0]), np.array([RIGHT, RIGHT]), CFG)
+
+    @pytest.mark.parametrize("case", list(SVM_EQUALITY_CASES))
+    def test_bitwise_equal_to_per_step_reference(self, request, case):
+        build, cfg = SVM_EQUALITY_CASES[case]
+        X, y = build(request.getfixturevalue("fm80") if case.endswith("_fold") else None)
+        m = cl.train_svm(X, y, cfg)
+        w, b = pegasos_reference(X, y, cfg)
+        assert np.array_equal(m.params["w"], w)
+        assert m.params["b"] == b
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 14), d=st.integers(1, 5), epochs=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1), coarse=st.booleans())
+    def test_bitwise_equal_to_reference_property(self, n, d, epochs, seed, coarse):
+        # coarse rows (values on a 0.5 grid) bring zero rows, duplicates and exact margin ties
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        if coarse:
+            X = np.round(2.0 * X) / 2.0
+        y = rng.choice([RIGHT, LEFT], size=n)
+        y[:2] = RIGHT, LEFT
+        cfg = cl.TrainConfig(svm_epochs=epochs, seed=seed)
+        m = cl.train_svm(X, y, cfg)
+        w, b = pegasos_reference(X, y, cfg)
+        assert np.array_equal(m.params["w"], w)
+        assert m.params["b"] == b
 
 
 class TestKnn:

@@ -166,6 +166,17 @@ class TestSynth:
         assert (a / name).read_bytes() == (b / name).read_bytes()
         assert (a / name).read_bytes() != (c / name).read_bytes()
 
+    def test_rerun_removes_unlisted_trial_files(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        for n in ("2", "1"):
+            code, _, _ = run(["synth", "--out", str(out), "--n-per-side", n], capsys)
+            assert code == 0
+        assert sorted(p.name for p in out.glob("trial_*.csv")) == ["trial_0000.csv",
+                                                                  "trial_0001.csv"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+
     def test_effective_config_echoes_overrides(self, ds_dir):
         cfg = json.loads((ds_dir / "effective_config.json").read_text())
         assert cfg["synth"]["n_trials_per_side"] == 6
@@ -377,6 +388,36 @@ class TestManifestEntries:
         code, _, err = run(["validate", str(bad)], capsys)
         assert code == cli.EXIT_DATA
         assert err == "data error: BadManifest: manifest must be an object, got list\n"
+
+    @staticmethod
+    def _broken_manifest(ds_dir, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"subject_id": "s", oops}')
+        return str(path), f"data error: BadManifest: {str(path)!r}: Expecting property name"
+
+    @staticmethod
+    def _broken_trial(ds_dir, tmp_path):
+        lines = (ds_dir / "trial_0001.csv").read_text().splitlines(keepends=True)
+        lines[4] = "abc" + lines[4][lines[4].index(","):]
+        (tmp_path / "bad.csv").write_text("".join(lines))
+        bad = edited_manifest(ds_dir, tmp_path,
+                              lambda trials: trials[1].update(file=str(tmp_path / "bad.csv")))
+        return bad, "data error: BadTrialFile (trial 1): 'bad.csv': could not convert string 'abc'"
+
+    @staticmethod
+    def _missing_manifest(ds_dir, tmp_path):
+        path = str(tmp_path / "no\nsuch" / "manifest.json")
+        return path, f"data error: MissingFile: {path!r}"
+
+    @pytest.mark.parametrize("make", [_broken_manifest, _broken_trial, _missing_manifest],
+                             ids=["manifest_not_json", "trial_value_not_a_number",
+                                  "manifest_missing_newline_in_path"])
+    def test_load_error_names_its_file(self, ds_dir, tmp_path, capsys, make):
+        bad, prefix = make(ds_dir, tmp_path)
+        code, _, err = run(["validate", bad], capsys)
+        assert code == cli.EXIT_DATA
+        assert err.startswith(prefix)
+        assert len(err.splitlines()) == 1
 
     @staticmethod
     def _reversed_columns(ds_dir, path):

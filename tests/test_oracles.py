@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_dft, direct_fir, freq_response, periodogram_psd, t_two_tailed_p
+from motorclass.classifiers import TrainConfig
+from motorclass.dataset import LEFT, RIGHT
+from oracles import (brute_dft, direct_fir, freq_response, pegasos_reference, periodogram_psd,
+                     t_two_tailed_p)
 
 
 def test_brute_dft_impulse():
@@ -87,3 +90,22 @@ def test_t_p_large_df_normal_limit():
 def test_t_p_monotone_in_t():
     ps = [t_two_tailed_p(t, 7) for t in np.linspace(0.0, 6.0, 25)]
     assert all(a > b for a, b in zip(ps, ps[1:]))
+
+
+@pytest.mark.parametrize("seed,b", [(0, -0.5), (3, 0.5)])
+def test_pegasos_two_steps_by_hand(seed, b):
+    # rows x = 1 (Right, y = +1) and x = -0.5 (Left, y = -1); the canonical
+    # order puts the Left row first (sign-canonical values 0.5 < 1), and
+    # lambda = 1 / (C n) = 0.5. Seed 0 draws the order [Left, Right]:
+    #   t = 1: margin 0 < 1, so v = (-1)(-0.5) = 0.5 and b = -1 / 1 = -1;
+    #   t = 2: margin (+1)(1 * 0.5 / (0.5 * 1) - 1) = 0 < 1, so v = 1.5 and
+    #          b = -1 + 1 / 2 = -0.5.
+    # Seed 3 draws [Right, Left]:
+    #   t = 1: v = 1, b = 1;
+    #   t = 2: margin (-1)(-0.5 * 1 / 0.5 + 1) = 0 < 1, so v = 1.5, b = 1 - 1 / 2 = 0.5.
+    # Either way w = v / (lambda T) = 1.5 / (0.5 * 2) = 1.5.
+    assert list(np.random.default_rng(seed).permutation(2)) == ([0, 1] if seed == 0 else [1, 0])
+    w, got_b = pegasos_reference([[1.0], [-0.5]], [RIGHT, LEFT],
+                                 TrainConfig(svm_epochs=1, seed=seed))
+    assert list(w) == [1.5]
+    assert got_b == b
