@@ -305,8 +305,3 @@ def _model_width(model: TrainedModel):
     if model.kind == "NaiveBayes":
         return len(p["mean_r"])
     return None  # Boosting uses feature indices; width check is implicit
-
-
-def training_accuracy(model: TrainedModel, X, y) -> float:
-    X, y = _check_xy(X, y)
-    return float((predict(model, X) == y).mean())

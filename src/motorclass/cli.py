@@ -76,6 +76,8 @@ def _merge_config(path) -> dict:
         raise UsageError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"config file {path}: {exc}") from exc
     if not isinstance(user, dict):
         raise UsageError("config root must be a JSON object")
     for section, values in user.items():
@@ -126,7 +128,10 @@ def _require_out(args, cfg) -> Path:
     if out is None:
         raise UsageError("an output directory is required (--out or config io.output)")
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UsageError(f"output directory {out} is not a directory") from exc
     return out
 
 
@@ -135,10 +140,6 @@ def _require_input(args, cfg) -> Path:
     if manifest is None:
         raise UsageError("an input manifest is required (positional or config io.input)")
     return Path(manifest)
-
-
-def _write_effective_config(cfg: dict, out: Path) -> None:
-    dataset.write_json(out / "effective_config.json", cfg)
 
 
 def _filter_from(cfg: dict) -> dsp.FirFilter:
@@ -152,7 +153,7 @@ def _feature_matrix(cfg: dict, manifest: Path, scale: str) -> features.FeatureMa
 
 
 def _parse_kinds(text):
-    if not text:
+    if text is None:
         return None
     kinds = []
     for token in text.split(","):
@@ -166,16 +167,12 @@ def _parse_kinds(text):
     return tuple(kinds)
 
 
-def cmd_synth(args, cfg) -> int:
-    out = _require_out(args, cfg)
+def cmd_synth(args, cfg, out) -> None:
     ds = dataset.generate_synthetic(dataset.SynthConfig(**cfg["synth"]))
-    manifest = dataset.save_dataset(ds, out)
-    _write_effective_config(cfg, out)
-    print(manifest)
-    return EXIT_OK
+    print(dataset.save_dataset(ds, out))
 
 
-def cmd_validate(args, cfg) -> int:
+def cmd_validate(args, cfg, out) -> None:
     if not 0.0 < args.amplitude_threshold < np.inf:
         raise UsageError(f"--amplitude-threshold must be a finite number > 0, "
                          f"got {args.amplitude_threshold!r}")
@@ -190,16 +187,11 @@ def cmd_validate(args, cfg) -> int:
     if args.amplitude_check:
         msg += f", {flagged} epoch(s) above {args.amplitude_threshold:g} uV"
     print(msg)
-    return EXIT_OK
 
 
-def cmd_features(args, cfg) -> int:
-    out = _require_out(args, cfg)
+def cmd_features(args, cfg, out) -> None:
     fm = _feature_matrix(cfg, _require_input(args, cfg), cfg["features"]["scale"])
-    path = features.save_features_csv(fm, out / "features.csv")
-    _write_effective_config(cfg, out)
-    print(path)
-    return EXIT_OK
+    print(features.save_features_csv(fm, out / "features.csv"))
 
 
 def _significance(args, cfg):
@@ -209,30 +201,22 @@ def _significance(args, cfg):
                                   level=cfg["stats"]["level"])
 
 
-def cmd_ttest(args, cfg) -> int:
-    out = _require_out(args, cfg)
+def cmd_ttest(args, cfg, out) -> None:
     smap = _significance(args, cfg)
     stats.save_map_csv(smap, out / "ttest_map.csv")
     stats.save_band_csv(stats.band_aggregate(smap), out / "ttest_bands.csv")
     stats.save_psd_curves_csv(smap, out / "psd_curves.csv")
-    _write_effective_config(cfg, out)
     frac = float(smap.significant.mean())
     print(f"significant cells: {int(smap.significant.sum())}/{smap.significant.size} "
           f"({100.0 * frac:.1f}%) at alpha={smap.alpha:g}")
-    return EXIT_OK
 
 
-def cmd_bands(args, cfg) -> int:
-    out = _require_out(args, cfg)
+def cmd_bands(args, cfg, out) -> None:
     smap = _significance(args, cfg)
-    path = stats.save_band_csv(stats.band_aggregate(smap), out / "bands.csv")
-    _write_effective_config(cfg, out)
-    print(path)
-    return EXIT_OK
+    print(stats.save_band_csv(stats.band_aggregate(smap), out / "bands.csv"))
 
 
-def cmd_evaluate(args, cfg) -> int:
-    out = _require_out(args, cfg)
+def cmd_evaluate(args, cfg, out) -> None:
     ds = dataset.load_dataset(_require_input(args, cfg))
     kinds = _parse_kinds(args.classifiers)
     report = evaluation.run_cv(
@@ -242,24 +226,21 @@ def cmd_evaluate(args, cfg) -> int:
     report["config"] = cfg
     dataset.write_json(out / "report.json", report)
     evaluation.report_to_csv(report, out / "report.csv")
-    _write_effective_config(cfg, out)
     print(evaluation.format_table(report))
     if "rule_error" in report:
         print(f"note: {report['rule_error']}; rule row omitted", file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_report(args, cfg) -> int:
-    out = _require_out(args, cfg)
+def cmd_report(args, cfg, out) -> None:
     combined = evaluation.batch_report([evaluation.load_report(p) for p in args.reports])
     combined["config"] = cfg
     dataset.write_json(out / "combined_report.json", combined)
     evaluation.report_to_csv(combined, out / "combined_report.csv")
-    _write_effective_config(cfg, out)
     print(evaluation.format_table(combined))
-    return EXIT_OK
 
 
+# a command gets the checked config and the prepared --out directory (None for
+# validate, which writes nothing); main writes effective_config.json after it
 COMMANDS = {
     "synth": cmd_synth,
     "validate": cmd_validate,
@@ -332,10 +313,14 @@ def main(argv=None) -> int:
         cfg = _merge_config(args.config)
         _apply_overrides(cfg, args)
         _validate_config(cfg)
+        out = None if args.command == "validate" else _require_out(args, cfg)
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"warning: {message}",
                                                             file=sys.stderr)
-            return COMMANDS[args.command](args, cfg)
+            COMMANDS[args.command](args, cfg, out)
+        if out is not None:
+            dataset.write_json(out / "effective_config.json", cfg)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -56,7 +56,6 @@ class DataError(Exception):
 
 @dataclass
 class Trial:
-    subject_id: str
     trial_id: int
     label: int
     samples: np.ndarray  # (12 channels, 4096 samples), microvolts
@@ -193,8 +192,7 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
             rhythm = (polarity[:, None] * line_amp[:, None]
                       * np.cos(2.0 * np.pi * lines[:, None] * t_grid[None, :] + phi)).sum(axis=0)
             samples[ch] += rhythm
-        trials.append(Trial(subject_id="synthetic", trial_id=tt, label=label,
-                            samples=samples))
+        trials.append(Trial(trial_id=tt, label=label, samples=samples))
     return Dataset(subject_id="synthetic", trials=trials)
 
 
@@ -302,8 +300,7 @@ def load_dataset(manifest_path) -> Dataset:
         if not np.all(np.isfinite(table)):
             raise DataError("NonFinite", f"{fpath.name!r} contains non-finite samples",
                             trial_id=tid)
-        trials.append(Trial(subject_id=manifest["subject_id"], trial_id=tid,
-                            label=label, samples=np.ascontiguousarray(table.T)))
+        trials.append(Trial(trial_id=tid, label=label, samples=np.ascontiguousarray(table.T)))
     ds = Dataset(subject_id=manifest["subject_id"], trials=trials)
     if ds.count(RIGHT) != ds.count(LEFT):
         warnings.warn(f"imbalanced dataset: {ds.count(RIGHT)} right vs {ds.count(LEFT)} left")

@@ -1,13 +1,12 @@
 """Numerical kernels: radix-2 FFT, windowed-sinc FIR band-pass, per-epoch PSD,
 and the recording geometry they assume (FS, EPOCH_SAMPLES).
 
-Everything here is pure and deterministic. The FFT is implemented directly as
-a self-sorting (Stockham) radix-2 kernel: each stage combines the first and
-second halves of every sub-sequence with cached twiddles, so the output comes
-out in natural order without a bit-reversal pass. The inverse runs the same
-stages with conjugate twiddles. Real signals ride two to a complex transform:
-the filter carries two rows in the real and imaginary parts, and the PSD
-carries an epoch's two segments the same way.
+Everything here is pure, deterministic and batched: _filter_rows filters a
+trial's rows and _psd_epoch_rows gives every epoch's PSD, both on
+_fft_last_axis, a self-sorting (Stockham) radix-2 FFT with cached twiddles
+(the inverse uses conjugate twiddles); fft is its checked 1-D form. Real
+signals ride two to a complex transform: two filter rows, or an epoch's two
+PSD segments, as the real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -83,25 +82,15 @@ def fft(x) -> np.ndarray:
     return _fft_last_axis(x)
 
 
-def ifft(x) -> np.ndarray:
-    """Inverse DFT: the forward butterflies with conjugate twiddles, over N."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1:
-        raise DspError("ifft expects a 1-D vector")
-    return _fft_last_axis(x, inverse=True) / x.shape[-1]
-
-
 @dataclass(frozen=True)
 class FirFilter:
     """Linear-phase FIR band-pass filter.
 
     taps are symmetric about the center; group_delay = (len(taps) - 1) // 2
-    samples, compensated by apply_filter so output stays time-aligned.
+    samples, compensated by _filter_rows so output stays time-aligned.
     """
 
     taps: np.ndarray
-    fs: float
-    band: tuple
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -135,7 +124,7 @@ def design_bandpass(fs: float, low: float, high: float, taps: int) -> FirFilter:
         return (2.0 * fc / fs) * np.sinc(2.0 * fc * m / fs)
 
     h = (lowpass(high) - lowpass(low)) * window
-    return FirFilter(taps=h, fs=float(fs), band=(float(low), float(high)))
+    return FirFilter(taps=h)
 
 
 def _next_pow2(n: int) -> int:
@@ -143,7 +132,8 @@ def _next_pow2(n: int) -> int:
 
 
 def _filter_rows(filt: FirFilter, rows: np.ndarray) -> np.ndarray:
-    """Apply the filter along the last axis of a 2-D array, group-delay aligned.
+    """Apply the filter along the last axis of a 2-D array: reflection padding,
+    output group-delay aligned and the same length as the input.
 
     Rows ride two to a complex transform: the taps are real, so
     IFFT(FFT(x1 + i*x2) * H) = x1*h + i*(x2*h), and the real and imaginary
@@ -166,16 +156,6 @@ def _filter_rows(filt: FirFilter, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_filter(filt: FirFilter, signal) -> np.ndarray:
-    """Filter a 1-D signal; reflection padding, output aligned and same length."""
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise DspError("apply_filter expects a non-empty 1-D signal")
-    if not np.all(np.isfinite(x)):
-        raise DspError("apply_filter input contains non-finite values")
-    return _filter_rows(filt, x[None, :])[0]
-
-
 def _psd_window() -> np.ndarray:
     # periodic Hamming: integer-offset leakage vanishes beyond one bin
     n = np.arange(PSD_SEGMENT)
@@ -187,7 +167,11 @@ _WINDOW_ENERGY = float(np.sum(_WINDOW ** 2))
 
 
 def _psd_epoch_rows(epochs: np.ndarray) -> np.ndarray:
-    """PSD along the last axis for (..., 512) arrays; returns (..., 25).
+    """One-sided PSD of each 1 s epoch along the last axis of a (..., 512)
+    array; returns (..., 25). Two Hamming-windowed 256-point periodograms are
+    averaged, the density is normalized by FS and window energy, and bins
+    1..25 are retained (bin k centered at 2k Hz). Segment means are removed so
+    a constant offset cannot leak into the retained bins.
 
     The two segments a, b of an epoch ride as one complex row z = a + i*b.
     With Z = FFT(z), the conjugate-symmetric split gives
@@ -202,17 +186,6 @@ def _psd_epoch_rows(epochs: np.ndarray) -> np.ndarray:
     sq = spec.real ** 2 + spec.imag ** 2
     both = sq[..., 1:PSD_BINS + 1] + sq[..., PSD_SEGMENT - 1:PSD_SEGMENT - PSD_BINS - 1:-1]
     return both / (2.0 * FS * _WINDOW_ENERGY)
-
-
-def psd_epoch(epoch) -> np.ndarray:
-    """One-sided PSD of a 1 s epoch: two Hamming-windowed 256-point periodograms
-    averaged, density normalized by FS and window energy, bins 1..25 retained
-    (2..50 Hz, bin k centered at 2k Hz). Segment means are removed so a constant
-    offset cannot leak into the retained bins."""
-    x = np.asarray(epoch, dtype=np.float64)
-    if x.shape != (EPOCH_SAMPLES,):
-        raise DspError(f"psd_epoch expects exactly {EPOCH_SAMPLES} samples, got {x.shape}")
-    return _psd_epoch_rows(x[None, :])[0]
 
 
 def bin_frequencies() -> np.ndarray:

@@ -4,7 +4,7 @@ confusion-matrix metrics, and per-classifier mean/std reports."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +47,6 @@ class Metrics:
     recall: float
     f_score: float
     degenerate: tuple = ()
-
-    def as_dict(self) -> dict:
-        return {"accuracy": self.accuracy, "precision": self.precision,
-                "recall": self.recall, "f_score": self.f_score}
 
 
 def make_folds(dataset: Dataset, seed: int) -> FoldPlan:
@@ -176,19 +172,23 @@ def run_cv(dataset: Dataset, cfg: classifiers.TrainConfig, seed: int,
     return report
 
 
+def _percents(cells: list) -> dict:
+    """Each metric's percent per fold cell, from the cells' tp/fp/fn/tn counts."""
+    metrics = [compute_metrics(ConfusionMatrix(**cm)) for cm in cells]
+    return {name: np.array([getattr(m, name) * 100.0 for m in metrics])
+            for name in METRIC_NAMES}
+
+
+def _std(values) -> float:
+    """Sample standard deviation (ddof=1); 0 for a single value."""
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
 def _summarize(kind: str, cms: list) -> dict:
-    values = {name: [] for name in METRIC_NAMES}
-    for cm in cms:
-        m = compute_metrics(cm).as_dict()
-        for name in METRIC_NAMES:
-            values[name].append(m[name] * 100.0)
-    entry = {"kind": kind}
-    for name in METRIC_NAMES:
-        arr = np.array(values[name])
-        entry[f"{name}_mean"] = float(arr.mean())
-        entry[f"{name}_std"] = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-    entry["per_fold"] = [{"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn}
-                         for cm in cms]
+    entry = {"kind": kind, "per_fold": [asdict(cm) for cm in cms]}
+    for name, values in _percents(entry["per_fold"]).items():
+        entry[f"{name}_mean"] = float(values.mean())
+        entry[f"{name}_std"] = _std(values)
     return entry
 
 
@@ -225,28 +225,21 @@ def batch_report(reports: list) -> dict:
     per-subject means)."""
     if not reports:
         raise ValueError("no reports to combine")
-    kinds = [e["kind"] for e in reports[0]["classifiers"]]
-    for rep in reports[1:]:
-        if [e["kind"] for e in rep["classifiers"]] != kinds:
-            raise ValueError("reports disagree on classifier sets")
+    kinds = [[e["kind"] for e in rep["classifiers"]] for rep in reports]
+    for pos, other in enumerate(kinds[1:], start=2):
+        if other != kinds[0]:
+            raise ValueError(f"reports disagree on classifier sets: "
+                             f"report {pos} has {other}, report 1 has {kinds[0]}")
     combined = {"subjects": [rep["subject_id"] for rep in reports],
                 "n_subjects": len(reports), "classifiers": []}
-    for kind in kinds:
+    for i, kind in enumerate(kinds[0]):
+        per_subject = [_percents(rep["classifiers"][i]["per_fold"]) for rep in reports]
         entry = {"kind": kind}
         for name in METRIC_NAMES:
-            cells, subject_means = [], []
-            for rep in reports:
-                cls = next(e for e in rep["classifiers"] if e["kind"] == kind)
-                fold_vals = [compute_metrics(ConfusionMatrix(**cm)).as_dict()[name] * 100.0
-                             for cm in cls["per_fold"]]
-                cells.extend(fold_vals)
-                subject_means.append(float(np.mean(fold_vals)))
-            cells = np.array(cells)
-            subject_means = np.array(subject_means)
+            cells = np.concatenate([p[name] for p in per_subject])
             entry[f"{name}_mean"] = float(cells.mean())
-            entry[f"{name}_std_folds"] = float(cells.std(ddof=1)) if len(cells) > 1 else 0.0
-            entry[f"{name}_std_subjects"] = (float(subject_means.std(ddof=1))
-                                             if len(subject_means) > 1 else 0.0)
+            entry[f"{name}_std_folds"] = _std(cells)
+            entry[f"{name}_std_subjects"] = _std([float(p[name].mean()) for p in per_subject])
         combined["classifiers"].append(entry)
     return combined
 

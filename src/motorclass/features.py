@@ -40,14 +40,6 @@ def feature_names() -> list:
     return [f"{ch}_{int(f)}Hz" for ch in CHANNELS for f in freqs]
 
 
-def feature_index(channel: str, freq_hz: float) -> int:
-    ch = CHANNELS.index(channel)
-    b = int(round(freq_hz / 2.0))
-    if not 1 <= b <= dsp.PSD_BINS or b * 2 != freq_hz:
-        raise ValueError(f"no feature bin centered at {freq_hz} Hz")
-    return ch * dsp.PSD_BINS + (b - 1)
-
-
 def epoch_trial(samples: np.ndarray) -> np.ndarray:
     """Split (channels, 4096) samples into (8, channels, 512) contiguous 1 s epochs."""
     n_ch, n = samples.shape

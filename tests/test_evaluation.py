@@ -139,7 +139,7 @@ class TestRunCv:
         for entry in report6["classifiers"]:
             for name in ev.METRIC_NAMES:
                 vals = np.array([
-                    ev.compute_metrics(ev.ConfusionMatrix(**cm)).as_dict()[name] * 100.0
+                    getattr(ev.compute_metrics(ev.ConfusionMatrix(**cm)), name) * 100.0
                     for cm in entry["per_fold"]])
                 assert entry[f"{name}_mean"] == pytest.approx(vals.mean(), rel=1e-12)
                 assert entry[f"{name}_std"] == pytest.approx(vals.std(ddof=1), rel=1e-12)
@@ -218,6 +218,14 @@ class TestBatchReport:
             ev.batch_report([report6, subset])
         with pytest.raises(ValueError):
             ev.batch_report([])
+
+    def test_mismatch_names_the_report_and_kinds(self, ds6, report6):
+        subset = ev.run_cv(ds6, TrainConfig(seed=0), seed=0, kinds=("SVM", "KNN", "LDA"))
+        with pytest.raises(ValueError) as info:
+            ev.batch_report([report6, report6, subset])
+        assert str(info.value) == (
+            "reports disagree on classifier sets: report 3 has ['SVM', 'KNN', 'LDA', 'Rule'], "
+            "report 1 has ['SVM', 'KNN', 'NaiveBayes', 'Boosting', 'LDA', 'Rule']")
 
 
 class TestReportOutput:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from motorclass import dataset, dsp, features
+from motorclass import dataset, features
 from motorclass.dataset import LEFT, RIGHT, SynthConfig, generate_synthetic
 from motorclass.features import (apply_scaler, build_feature_matrix, epoch_trial,
-                                 feature_index, feature_names, fit_scaler,
-                                 save_features_csv)
+                                 feature_names, fit_scaler, save_features_csv)
+from oracles import direct_fir, periodogram_psd
 
 
 class TestEpochTrial:
@@ -46,11 +46,10 @@ class TestBuildFeatureMatrix:
         assert np.all(fm.y == ds.trials[0].label)
 
     def test_cell_recomputation(self, ds80, fm80, bp_filter):
-        # row 0 epoch 0, channel FCz at 10 Hz recomputed through the dsp path
-        trial = ds80.trials[0]
-        filtered = dsp.apply_filter(bp_filter, np.asarray(trial.samples[5], dtype=float))
-        expected = dsp.psd_epoch(filtered[:512])[4]
-        col = feature_index("FCz", 10.0)
+        # row 0 epoch 0, channel FCz at 10 Hz recomputed by the reference oracles
+        filtered = direct_fir(bp_filter.taps, ds80.trials[0].samples[5])
+        expected = periodogram_psd(filtered[:512], 512.0)[4]
+        col = feature_names().index("FCz_10Hz")
         assert fm80.X[0, col] == pytest.approx(expected, rel=1e-9)
 
     def test_row_order(self, ds80, fm80):

@@ -36,7 +36,7 @@ def savetxt_bytes(tmp_path, table, fmt, header):
 
 def test_trial_csv_matches_savetxt(tmp_path):
     samples = special_table((len(CHANNELS), TRIAL_SAMPLES))
-    ds = Dataset(subject_id="s", trials=[Trial("s", 3, 1, samples)])
+    ds = Dataset(subject_id="s", trials=[Trial(3, 1, samples)])
     save_dataset(ds, tmp_path / "ds")
     got = (tmp_path / "ds" / "trial_0003.csv").read_bytes()
     assert got == savetxt_bytes(tmp_path, samples.T, "%.17g", ",".join(CHANNELS))
