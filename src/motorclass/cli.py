@@ -5,6 +5,7 @@ report. JSON config with flag overrides; exit codes 0 ok, 1 usage, 2 data,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
@@ -123,11 +124,14 @@ def _apply_overrides(cfg: dict, args) -> None:
             cfg[section]["seed"] = args.seed
 
 
-def _require_out(args, cfg) -> Path:
+def _require_out(args, cfg, made: list) -> Path:
+    """The output directory, created if missing; the directories this creates
+    are appended to made, deepest first."""
     out = args.out or cfg["io"]["output"]
     if out is None:
         raise UsageError("an output directory is required (--out or config io.output)")
     out = Path(out)
+    made.extend(p for p in (out, *out.parents) if not p.exists())
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
@@ -304,6 +308,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    made = []
+    code = _run(argv, made)
+    if code != EXIT_OK:
+        # a failed command leaves no output directory it created, if still empty
+        for path in made:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+    return code
+
+
+def _run(argv, made: list) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -313,7 +328,7 @@ def main(argv=None) -> int:
         cfg = _merge_config(args.config)
         _apply_overrides(cfg, args)
         _validate_config(cfg)
-        out = None if args.command == "validate" else _require_out(args, cfg)
+        out = None if args.command == "validate" else _require_out(args, cfg, made)
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"warning: {message}",
                                                             file=sys.stderr)

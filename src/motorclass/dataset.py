@@ -9,6 +9,7 @@ to recover.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,9 +50,14 @@ class DataError(Exception):
 
     def __init__(self, code: str, message: str, trial_id: int | None = None):
         self.code = code
+        self.message = message
         self.trial_id = trial_id
         super().__init__(f"{code}: {message}" if trial_id is None
                          else f"{code} (trial {trial_id}): {message}")
+
+    def __reduce__(self):
+        # so an error raised in a worker process reaches the caller intact
+        return type(self), (self.code, self.message, self.trial_id)
 
 
 @dataclass
@@ -239,6 +245,72 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
     return manifest
 
 
+def _checked_entries(entries, folder):
+    """(trial_id, label, file path) of each manifest trial entry, in order;
+    raises DataError at the first entry that is malformed or names no file."""
+    seen = set()
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise DataError("BadManifest", f"trial entry must be a JSON object, got {entry!r}")
+        tid = entry.get("trial_id")
+        if not isinstance(tid, int) or isinstance(tid, bool):
+            raise DataError("BadTrialId", f"trial_id must be an integer, got {tid!r}")
+        if tid in seen:
+            raise DataError("DuplicateTrialId", "listed more than once", trial_id=tid)
+        seen.add(tid)
+        label = entry.get("label")
+        if type(label) is not int or label not in (RIGHT, LEFT):
+            raise DataError("BadLabel", f"label={label!r}", trial_id=tid)
+        fname = entry.get("file")
+        if not isinstance(fname, str):
+            raise DataError("BadManifest", f"file={fname!r}, expected a string", trial_id=tid)
+        fpath = folder / fname
+        if not fpath.is_file():
+            raise DataError("MissingFile", repr(str(fpath)), trial_id=tid)
+        yield tid, label, fpath
+
+
+def _read_trial(entry) -> Trial:
+    """The trial of one checked entry, (trial_id, label, file path), with its
+    samples C-contiguous; raises DataError if the file's header, cells, shape
+    or values are bad."""
+    tid, label, fpath = entry
+    with open(fpath) as fh:
+        header = [name.strip() for name in fh.readline().split(",")]
+        if header != list(CHANNELS):
+            raise DataError("BadChannels", f"{fpath.name!r}: header {header}", trial_id=tid)
+        try:
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DataError("BadTrialFile", f"{fpath.name!r}: {exc}", trial_id=tid) from exc
+    if table.shape != (TRIAL_SAMPLES, len(CHANNELS)):
+        raise DataError("BadSampleCount",
+                        f"{fpath.name!r}: {table.shape[0]} rows x {table.shape[1]} cols, "
+                        f"expected {TRIAL_SAMPLES} x {len(CHANNELS)}", trial_id=tid)
+    if not np.all(np.isfinite(table)):
+        raise DataError("NonFinite", f"{fpath.name!r} contains non-finite samples",
+                        trial_id=tid)
+    return Trial(trial_id=tid, label=label, samples=np.ascontiguousarray(table.T))
+
+
+def _read_trials(entries) -> list:
+    """_read_trial over the entries, in order. np.loadtxt holds the GIL, so
+    the files are parsed in up to one forked process per available CPU, one
+    file per task; the first failing entry's exception is raised, as a
+    sequential loop would raise it. The pool modules are imported here
+    because importing them would slow every command's start-up. Workers are
+    forked, not spawned, so they do not import numpy and the package again;
+    they call no BLAS routine, and the pool forks them all before it starts
+    its own thread."""
+    workers = min(len(os.sched_getaffinity(0)), len(entries))
+    if workers < 2:
+        return list(map(_read_trial, entries))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_read_trial, entries))
+
+
 def load_dataset(manifest_path) -> Dataset:
     """Load and validate a dataset from its manifest; raises DataError on the
     first violation, warns (does not reject) on left/right imbalance."""
@@ -265,42 +337,17 @@ def load_dataset(manifest_path) -> Dataset:
                         f"manifest channels {manifest['channels']!r} != expected montage")
     if not manifest["trials"]:
         raise DataError("EmptyDataset", "manifest lists zero trials")
-    trials = []
-    seen = set()
-    for entry in manifest["trials"]:
-        if not isinstance(entry, dict):
-            raise DataError("BadManifest", f"trial entry must be a JSON object, got {entry!r}")
-        tid = entry.get("trial_id")
-        if not isinstance(tid, int) or isinstance(tid, bool):
-            raise DataError("BadTrialId", f"trial_id must be an integer, got {tid!r}")
-        if tid in seen:
-            raise DataError("DuplicateTrialId", "listed more than once", trial_id=tid)
-        seen.add(tid)
-        label = entry.get("label")
-        if type(label) is not int or label not in (RIGHT, LEFT):
-            raise DataError("BadLabel", f"label={label!r}", trial_id=tid)
-        fname = entry.get("file")
-        if not isinstance(fname, str):
-            raise DataError("BadManifest", f"file={fname!r}, expected a string", trial_id=tid)
-        fpath = path.parent / fname
-        if not fpath.is_file():
-            raise DataError("MissingFile", repr(str(fpath)), trial_id=tid)
-        with open(fpath) as fh:
-            header = [name.strip() for name in fh.readline().split(",")]
-            if header != list(CHANNELS):
-                raise DataError("BadChannels", f"{fpath.name!r}: header {header}", trial_id=tid)
-            try:
-                table = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise DataError("BadTrialFile", f"{fpath.name!r}: {exc}", trial_id=tid) from exc
-        if table.shape != (TRIAL_SAMPLES, len(CHANNELS)):
-            raise DataError("BadSampleCount",
-                            f"{fpath.name!r}: {table.shape[0]} rows x {table.shape[1]} cols, "
-                            f"expected {TRIAL_SAMPLES} x {len(CHANNELS)}", trial_id=tid)
-        if not np.all(np.isfinite(table)):
-            raise DataError("NonFinite", f"{fpath.name!r} contains non-finite samples",
-                            trial_id=tid)
-        trials.append(Trial(trial_id=tid, label=label, samples=np.ascontiguousarray(table.T)))
+    # entries are checked here up to the first fault; the files listed before
+    # it are read, and a file fault among them is reported before the entry fault
+    checked, fault = [], None
+    try:
+        for entry in _checked_entries(manifest["trials"], path.parent):
+            checked.append(entry)
+    except DataError as exc:
+        fault = exc
+    trials = _read_trials(checked)
+    if fault is not None:
+        raise fault
     ds = Dataset(subject_id=manifest["subject_id"], trials=trials)
     if ds.count(RIGHT) != ds.count(LEFT):
         warnings.warn(f"imbalanced dataset: {ds.count(RIGHT)} right vs {ds.count(LEFT)} left")

@@ -3,15 +3,20 @@
 Everything here is deliberately slow and simple: quadratic-time DFT, direct
 tap-by-tap frequency response and convolution, a periodogram built on the
 quadratic-time DFT, adaptive quadrature of the t density, one Pegasos step
-at a time. These are built and self-tested before the fast implementations
-they vet.
+at a time, one trial file after another. These are built and self-tested
+before the fast implementations they vet.
 """
 
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 
 from motorclass import classifiers as cl
+from motorclass.dataset import (CHANNELS, FS, LEFT, RIGHT, TRIAL_SAMPLES, DataError, Dataset,
+                                Trial)
 
 
 def brute_dft(x, inverse: bool = False) -> np.ndarray:
@@ -117,6 +122,75 @@ def pegasos_reference(X, y, cfg):
                 v += yo[i] * Xo[i]
                 b += yo[i] / t
     return v / (lam * t), b
+
+
+def load_dataset_reference(manifest_path) -> Dataset:
+    """dataset.load_dataset as it was written before trial files were read in
+    a process pool: one loop that checks each manifest entry, then reads and
+    checks its file, and raises at the first fault."""
+    path = Path(manifest_path)
+    if not path.exists():
+        raise DataError("MissingFile", repr(str(path)))
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DataError("BadManifest", f"{str(path)!r}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError("BadManifest", f"manifest must be an object, got {type(manifest).__name__}")
+    for key in ("subject_id", "fs", "channels", "trials"):
+        if key not in manifest:
+            raise DataError("BadManifest", f"missing key {key!r}")
+    for key, kind in (("subject_id", str), ("trials", list)):
+        if not isinstance(manifest[key], kind):
+            raise DataError("BadManifest", f"{key} must be a {kind.__name__}, "
+                            f"got {type(manifest[key]).__name__}")
+    if manifest["fs"] != FS:
+        raise DataError("BadSampleRate", f"manifest fs={manifest['fs']!r}, expected {FS}")
+    if manifest["channels"] != list(CHANNELS):
+        raise DataError("BadChannels",
+                        f"manifest channels {manifest['channels']!r} != expected montage")
+    if not manifest["trials"]:
+        raise DataError("EmptyDataset", "manifest lists zero trials")
+    trials = []
+    seen = set()
+    for entry in manifest["trials"]:
+        if not isinstance(entry, dict):
+            raise DataError("BadManifest", f"trial entry must be a JSON object, got {entry!r}")
+        tid = entry.get("trial_id")
+        if not isinstance(tid, int) or isinstance(tid, bool):
+            raise DataError("BadTrialId", f"trial_id must be an integer, got {tid!r}")
+        if tid in seen:
+            raise DataError("DuplicateTrialId", "listed more than once", trial_id=tid)
+        seen.add(tid)
+        label = entry.get("label")
+        if type(label) is not int or label not in (RIGHT, LEFT):
+            raise DataError("BadLabel", f"label={label!r}", trial_id=tid)
+        fname = entry.get("file")
+        if not isinstance(fname, str):
+            raise DataError("BadManifest", f"file={fname!r}, expected a string", trial_id=tid)
+        fpath = path.parent / fname
+        if not fpath.is_file():
+            raise DataError("MissingFile", repr(str(fpath)), trial_id=tid)
+        with open(fpath) as fh:
+            header = [name.strip() for name in fh.readline().split(",")]
+            if header != list(CHANNELS):
+                raise DataError("BadChannels", f"{fpath.name!r}: header {header}", trial_id=tid)
+            try:
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise DataError("BadTrialFile", f"{fpath.name!r}: {exc}", trial_id=tid) from exc
+        if table.shape != (TRIAL_SAMPLES, len(CHANNELS)):
+            raise DataError("BadSampleCount",
+                            f"{fpath.name!r}: {table.shape[0]} rows x {table.shape[1]} cols, "
+                            f"expected {TRIAL_SAMPLES} x {len(CHANNELS)}", trial_id=tid)
+        if not np.all(np.isfinite(table)):
+            raise DataError("NonFinite", f"{fpath.name!r} contains non-finite samples",
+                            trial_id=tid)
+        trials.append(Trial(trial_id=tid, label=label, samples=np.ascontiguousarray(table.T)))
+    ds = Dataset(subject_id=manifest["subject_id"], trials=trials)
+    if ds.count(RIGHT) != ds.count(LEFT):
+        warnings.warn(f"imbalanced dataset: {ds.count(RIGHT)} right vs {ds.count(LEFT)} left")
+    return ds
 
 
 # The CSV tables as the package wrote them with hand-rolled f-string loops,

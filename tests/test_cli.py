@@ -568,6 +568,43 @@ class TestReport:
         assert code == 2
 
 
+class TestFailedCommandOut:
+    @staticmethod
+    def _empty_classifiers(ds_dir, tmp_path, out):
+        return ["evaluate", manifest(ds_dir), "--out", str(out), "--classifiers", ""], \
+            cli.EXIT_USAGE
+
+    @staticmethod
+    def _mismatched_reports(ds_dir, tmp_path, out):
+        paths = []
+        for i, kinds in enumerate((["SVM", "KNN", "LDA"], ["SVM", "LDA"])):
+            cell = {"tp": 1, "fp": 0, "fn": 0, "tn": 1}
+            path = tmp_path / f"report{i}.json"
+            path.write_text(json.dumps({"subject_id": "s", "classifiers": [
+                {"kind": kind, "per_fold": [cell]} for kind in kinds]}))
+            paths.append(str(path))
+        return ["report", *paths, "--out", str(out)], cli.EXIT_DATA
+
+    @pytest.mark.parametrize("make", [_empty_classifiers, _mismatched_reports],
+                             ids=["evaluate_empty_classifiers", "report_mismatch"])
+    def test_removes_the_directories_it_made(self, ds_dir, tmp_path, capsys, make):
+        argv, expected = make(ds_dir, tmp_path, tmp_path / "new" / "out")
+        code, _, err = run(argv, capsys)
+        assert code == expected
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("make", [_empty_classifiers, _mismatched_reports],
+                             ids=["evaluate_empty_classifiers", "report_mismatch"])
+    def test_keeps_a_directory_that_was_there(self, ds_dir, tmp_path, capsys, make):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv, expected = make(ds_dir, tmp_path, out)
+        code, _, _ = run(argv, capsys)
+        assert code == expected
+        assert out.is_dir()
+
+
 class TestConfigSchema:
     def test_readme_configuration_block_is_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,0 +1,187 @@
+"""load_dataset parses trial files in a pool of forked processes: it must give
+the samples and the first error of the sequential loop kept as
+oracles.load_dataset_reference, on one CPU or several, and no worker may
+outlive the call."""
+
+import concurrent.futures
+import json
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import motorclass
+from motorclass import dataset
+from motorclass.dataset import DataError, SynthConfig, generate_synthetic, save_dataset
+from oracles import load_dataset_reference
+
+SRC = str(Path(motorclass.__file__).resolve().parents[1])
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """Six trials, three per side, saved once; cases edit copies of them."""
+    ds = generate_synthetic(SynthConfig(n_trials_per_side=3, asymmetry_db=6.0, seed=2))
+    return save_dataset(ds, tmp_path_factory.mktemp("pool") / "d").parent
+
+
+def _lines(edit):
+    """A file edit that rewrites the list of the file's byte lines in place."""
+    def apply(data):
+        lines = data.split(b"\n")
+        edit(lines)
+        return b"\n".join(lines)
+    return apply
+
+
+def _set_cell(line_no, cell):
+    def edit(lines):
+        lines[line_no] = cell + b"," + lines[line_no].split(b",", 1)[1]
+    return _lines(edit)
+
+
+TEXT_CELL = _set_cell(1, b"abc")
+NAN_CELL = _set_cell(2, b"nan")
+NOT_UTF8_BODY = _set_cell(3000, b"\xff1.0")
+DROP_ROW = _lines(lambda lines: lines.pop(-2))
+REVERSED_HEADER = _lines(
+    lambda lines: lines.__setitem__(0, b",".join(lines[0].split(b",")[::-1])))
+NOT_UTF8_HEADER = _lines(lambda lines: lines.__setitem__(0, b"\xff" + lines[0]))
+
+
+def _file(edit):
+    """An entry edit that points the entry at an edited copy of its file."""
+    def apply(entry, folder):
+        src = Path(entry["file"])
+        dst = folder / f"edited_{src.name}"
+        dst.write_bytes(edit(src.read_bytes()))
+        entry["file"] = str(dst)
+    return apply
+
+
+def _field(**fields):
+    return lambda entry, folder: entry.update(fields)
+
+
+# manifest cases: (trial position, entry edit) pairs, applied in order
+CASES = {
+    "clean": [],
+    "corrupt_file_before_bad_label": [(1, _file(TEXT_CELL)), (3, _field(label=3))],
+    "bad_label_before_corrupt_file": [(1, _field(label=3)), (3, _file(TEXT_CELL))],
+    "two_corrupt_files": [(1, _file(DROP_ROW)), (4, _file(TEXT_CELL))],
+    "duplicate_id_after_bad_header": [(1, _file(REVERSED_HEADER)), (3, _field(trial_id=0))],
+    "not_utf8_header": [(2, _file(NOT_UTF8_HEADER))],
+    "not_utf8_body": [(2, _file(NOT_UTF8_BODY))],
+    "nan_cell": [(2, _file(NAN_CELL))],
+    "nan_cell_before_missing_file": [(2, _file(NAN_CELL)), (4, _field(file="nope.csv"))],
+}
+
+
+def _manifest(base, folder, edits) -> Path:
+    blob = json.loads((base / "manifest.json").read_text())
+    for entry in blob["trials"]:
+        entry["file"] = str(base / entry["file"])
+    for position, edit in edits:
+        edit(blob["trials"][position], folder)
+    path = folder / "manifest.json"
+    path.write_text(json.dumps(blob))
+    return path
+
+
+def _outcome(load, path):
+    """What a loader gives: every trial's id, label and sample bytes, or the
+    error's type, message and trial id."""
+    try:
+        ds = load(path)
+    except Exception as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "trial_id", None))
+    return ("ok", ds.subject_id, [(t.trial_id, t.label, t.samples.dtype, t.samples.shape,
+                                   t.samples.flags.c_contiguous, t.samples.tobytes())
+                                  for t in ds.trials])
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
+@pytest.mark.parametrize("edits", CASES.values(), ids=CASES.keys())
+def test_matches_sequential_reference(base, tmp_path, monkeypatch, edits, cpus):
+    path = _manifest(base, tmp_path, edits)
+    expected = _outcome(load_dataset_reference, path)
+    _cpus(monkeypatch, cpus)
+    assert _outcome(dataset.load_dataset, path) == expected
+    assert expected[0] == ("ok" if not edits else "error")
+
+
+def test_reference_reads_the_saved_samples(base):
+    ds = generate_synthetic(SynthConfig(n_trials_per_side=3, asymmetry_db=6.0, seed=2))
+    loaded = load_dataset_reference(base / "manifest.json")
+    assert [t.samples.tobytes() for t in loaded.trials] == [t.samples.tobytes() for t in ds.trials]
+
+
+class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    sizes = []
+
+    def __init__(self, max_workers, **kwargs):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+@pytest.mark.parametrize("edits", [[], [(3, _file(TEXT_CELL))]],
+                         ids=["success", "fault_mid_list"])
+def test_no_worker_outlives_the_call(base, tmp_path, monkeypatch, edits):
+    path = _manifest(base, tmp_path, edits)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    if edits:
+        with pytest.raises(DataError) as err:
+            dataset.load_dataset(path)
+        assert (err.value.code, err.value.trial_id) == ("BadTrialFile", 3)
+    else:
+        assert len(dataset.load_dataset(path).trials) == 6
+    assert _RecordingPool.sizes == [2]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("error", [DataError("BadLabel", "label=3", trial_id=4),
+                                   DataError("EmptyDataset", "manifest lists zero trials")],
+                         ids=["with_trial", "without_trial"])
+def test_data_error_survives_pickling(error):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is DataError
+    assert (copy.code, copy.message, copy.trial_id, str(copy)) == \
+        (error.code, error.message, error.trial_id, str(error))
+
+
+def test_cli_import_leaves_out_the_pool_modules():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, motorclass.cli; "
+         "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_cli_corrupt_trial_is_one_line_and_leaves_no_process(base, tmp_path):
+    path = _manifest(base, tmp_path, [(2, _file(TEXT_CELL))])
+    out = tmp_path / "out"
+    # a new session makes the command and any worker it forks one process group
+    proc = subprocess.Popen([sys.executable, "-m", "motorclass.cli", "ttest", str(path),
+                             "--out", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True, env={**os.environ, "PYTHONPATH": SRC})
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err.startswith("data error: BadTrialFile (trial 2): 'edited_trial_0002.csv': ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    assert not out.exists()
