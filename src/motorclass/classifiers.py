@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LEFT, RIGHT
+from .dataset import LEFT, RIGHT, DataError
 
 MODEL_KINDS = ("SVM", "KNN", "NaiveBayes", "Boosting", "LDA")
 
@@ -130,7 +130,8 @@ def train_svm(X, y, cfg: TrainConfig) -> TrainedModel:
 def train_knn(X, y, cfg: TrainConfig) -> TrainedModel:
     X, y = _check_xy(X, y)
     if len(X) < cfg.knn_k:
-        raise ValueError(f"KNN needs at least k={cfg.knn_k} training rows, got {len(X)}")
+        raise DataError("TooFewRows", f"KNN needs at least k={cfg.knn_k} training rows, "
+                        f"got {len(X)}")
     return TrainedModel("KNN", {"X": X.copy(), "y": y.copy(), "k": cfg.knn_k})
 
 
@@ -168,7 +169,7 @@ def train_adaboost(X, y, cfg: TrainConfig) -> TrainedModel:
     # per feature: positions after which a threshold exists (value changes)
     cut_lists = [np.nonzero(np.diff(sorted_vals[:, j]) > 0)[0] for j in range(d)]
     if not any(len(c) for c in cut_lists):
-        raise ValueError("no usable stump: every feature is constant")
+        raise ArithmeticError("no usable stump: every feature is constant")
 
     weights = np.full(n, 1.0 / n)
     stumps = []  # (feature, threshold, polarity, alpha)
@@ -205,7 +206,7 @@ def train_adaboost(X, y, cfg: TrainConfig) -> TrainedModel:
         weights *= np.exp(-alpha * ys * h)
         weights /= weights.sum()
     if not stumps:
-        raise ValueError("AdaBoost found no stump better than chance")
+        raise ArithmeticError("AdaBoost found no stump better than chance")
     return TrainedModel("Boosting", {
         "features": np.array([s[0] for s in stumps], dtype=int),
         "thresholds": np.array([s[1] for s in stumps]),
@@ -250,10 +251,7 @@ TRAINERS = {
 
 def train_all(X, y, cfg: TrainConfig, kinds=None) -> dict:
     """Train the requested models (default: all five) on one training set."""
-    kinds = MODEL_KINDS if kinds is None else tuple(kinds)
-    unknown = [k for k in kinds if k not in TRAINERS]
-    if unknown:
-        raise ValueError(f"unknown model kinds {unknown}")
+    kinds = MODEL_KINDS if kinds is None else kinds
     return {kind: TRAINERS[kind](X, y, cfg) for kind in kinds}
 
 
@@ -288,20 +286,5 @@ def predict(model: TrainedModel, rows):
     """Predict labels for one row (returns int) or a row matrix (returns array)."""
     rows = np.asarray(rows, dtype=float)
     single = rows.ndim == 1
-    X = rows[None, :] if single else rows
-    width = _model_width(model)
-    if width is not None and X.shape[1] != width:
-        raise ValueError(f"row width {X.shape[1]} != training width {width}")
-    labels = _predict_rows(model, X)
+    labels = _predict_rows(model, rows[None, :] if single else rows)
     return int(labels[0]) if single else labels
-
-
-def _model_width(model: TrainedModel):
-    p = model.params
-    if model.kind in ("SVM", "LDA"):
-        return len(p["w"])
-    if model.kind == "KNN":
-        return p["X"].shape[1]
-    if model.kind == "NaiveBayes":
-        return len(p["mean_r"])
-    return None  # Boosting uses feature indices; width check is implicit

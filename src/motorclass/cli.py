@@ -44,14 +44,16 @@ CHOICES = {
 }
 
 # what a key takes, by the type of its default: no key takes a bool, NaN or
-# Infinity, and every integer setting is a count or a seed, so >= 0
+# Infinity, every integer setting is a count or a seed, so >= 0, and a path
+# holds no NUL byte
 _TYPES = {
     float: ("a number", lambda v: isinstance(v, (int, float)) and abs(v) < np.inf),
     int: ("an integer >= 0", lambda v: isinstance(v, int) and v >= 0),
     str: ("a string", lambda v: isinstance(v, str)),
     list: ("a list of strings",
            lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
-    type(None): ("a string or null", lambda v: v is None or isinstance(v, str)),
+    type(None): ("a string or null",
+                 lambda v: v is None or isinstance(v, str) and "\0" not in v),
 }
 
 _KIND_ALIASES = {**{kind.lower(): kind for kind in classifiers.MODEL_KINDS},
@@ -108,7 +110,7 @@ def _validate_config(cfg: dict) -> None:
     for section, build in (("train", classifiers.TrainConfig), ("synth", dataset.SynthConfig)):
         try:
             build(**cfg[section])
-        except (ValueError, dataset.DataError) as exc:
+        except ValueError as exc:
             raise UsageError(f"{section}: {exc}") from exc
 
 
@@ -308,14 +310,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    made = []
-    code = _run(argv, made)
-    if code != EXIT_OK:
-        # a failed command leaves no output directory it created, if still empty
-        for path in made:
-            with contextlib.suppress(OSError):
-                path.rmdir()
-    return code
+    made, code = [], None
+    try:
+        code = _run(argv, made)
+        return code
+    finally:
+        if code != EXIT_OK:
+            # a command that failed, or raised, leaves no output directory it
+            # created, if still empty
+            for path in made:
+                with contextlib.suppress(OSError):
+                    path.rmdir()
 
 
 def _run(argv, made: list) -> int:
@@ -345,7 +350,7 @@ def _run(argv, made: list) -> int:
     except (dsp.DspError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

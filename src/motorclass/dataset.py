@@ -45,8 +45,9 @@ GEN_BAND_HZ = {
 _MICROVOLT_SCALE = 50.0
 
 
-class DataError(Exception):
-    """Validation or I/O failure with a machine-readable code."""
+class DataError(ValueError):
+    """A fault in the input data that a user can cause, with a machine-readable
+    code; the CLI's exit 2."""
 
     def __init__(self, code: str, message: str, trial_id: int | None = None):
         self.code = code
@@ -276,13 +277,16 @@ def _read_trial(entry) -> Trial:
     or values are bad."""
     tid, label, fpath = entry
     with open(fpath) as fh:
-        header = [name.strip() for name in fh.readline().split(",")]
-        if header != list(CHANNELS):
-            raise DataError("BadChannels", f"{fpath.name!r}: header {header}", trial_id=tid)
+        # the header is read in the try, so a non-UTF-8 byte there is a
+        # BadTrialFile too; BadChannels, a ValueError, is raised after the try
         try:
-            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+            header = [name.strip() for name in fh.readline().split(",")]
+            if header == list(CHANNELS):
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise DataError("BadTrialFile", f"{fpath.name!r}: {exc}", trial_id=tid) from exc
+    if header != list(CHANNELS):
+        raise DataError("BadChannels", f"{fpath.name!r}: header {header}", trial_id=tid)
     if table.shape != (TRIAL_SAMPLES, len(CHANNELS)):
         raise DataError("BadSampleCount",
                         f"{fpath.name!r}: {table.shape[0]} rows x {table.shape[1]} cols, "

@@ -63,7 +63,7 @@ def _assign_folds(unit_labels: np.ndarray, seed) -> np.ndarray:
     for label in (RIGHT, LEFT):
         n = int((unit_labels == label).sum())
         if n < FOLD_K:
-            raise ValueError(f"need >= {FOLD_K} units of label {label}, got {n}")
+            raise DataError("TooFewTrials", f"need >= {FOLD_K} units of label {label}, got {n}")
     return stratified_positions(unit_labels, seed) % FOLD_K
 
 
@@ -200,7 +200,7 @@ def load_report(path) -> dict:
         raise DataError("MissingFile", str(path))
     try:
         report = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise DataError("BadReport", f"{path}: {exc}") from exc
     counts = {f.name for f in fields(ConfusionMatrix)}
 
@@ -228,8 +228,8 @@ def batch_report(reports: list) -> dict:
     kinds = [[e["kind"] for e in rep["classifiers"]] for rep in reports]
     for pos, other in enumerate(kinds[1:], start=2):
         if other != kinds[0]:
-            raise ValueError(f"reports disagree on classifier sets: "
-                             f"report {pos} has {other}, report 1 has {kinds[0]}")
+            raise DataError("ClassifierMismatch", f"reports disagree on classifier sets: "
+                            f"report {pos} has {other}, report 1 has {kinds[0]}")
     combined = {"subjects": [rep["subject_id"] for rep in reports],
                 "n_subjects": len(reports), "classifiers": []}
     for i, kind in enumerate(kinds[0]):

@@ -32,9 +32,6 @@ def rank_models(models: dict, calib_X, calib_y) -> RuleEnsemble:
         raise ValueError("calibration set is empty")
     if len(models) < 3:
         raise ValueError(f"rule fusion needs >= 3 models, got {len(models)}")
-    for kind in models:
-        if kind not in TIE_PRECEDENCE:
-            raise ValueError(f"unknown model kind {kind!r}")
     acc = {kind: float((classifiers.predict(m, calib_X) == calib_y).mean())
            for kind, m in models.items()}
     order = sorted(models, key=lambda k: (-acc[k], TIE_PRECEDENCE.index(k)))

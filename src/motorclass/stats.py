@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .dataset import CHANNELS, EPOCHS_PER_TRIAL, GEN_BAND_HZ, LEFT, RIGHT, write_csv
+from .dataset import CHANNELS, EPOCHS_PER_TRIAL, GEN_BAND_HZ, LEFT, RIGHT, DataError, write_csv
 from .features import FeatureMatrix
 
 # PSD bins (1-based, center 2k Hz) assigned to the classical bands: bin k
@@ -115,7 +115,7 @@ def paired_t(x, y) -> TTestResult:
         raise ValueError("paired_t expects two equal-length vectors")
     n = len(x)
     if n < 2:
-        raise ValueError("paired_t needs at least 2 pairs")
+        raise DataError("TooFewPairs", f"paired_t needs at least 2 pairs, got {n}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("paired_t inputs must be finite")
     d = x - y
@@ -155,14 +155,13 @@ def significance_map(fm: FeatureMatrix, alpha: float = DEFAULT_ALPHA,
     right = _ordered_rows(fm, RIGHT)
     left = _ordered_rows(fm, LEFT)
     if len(right) == 0 or len(left) == 0:
-        raise ValueError("significance_map needs rows of both labels")
+        raise DataError("OneLabel", "significance_map needs rows of both labels")
     if level == "trial":
         right = _trial_means(right)
         left = _trial_means(left)
     if len(right) != len(left):
-        raise ValueError(
-            "the rank-paired t-test needs equal right/left counts, got "
-            f"{len(right)} right and {len(left)} left")
+        raise DataError("UnequalCounts", "the rank-paired t-test needs equal right/left "
+                        f"counts, got {len(right)} right and {len(left)} left")
 
     n_ch, n_bins = len(CHANNELS), dsp.PSD_BINS
     t = np.empty((n_ch, n_bins))

@@ -127,7 +127,8 @@ def pegasos_reference(X, y, cfg):
 def load_dataset_reference(manifest_path) -> Dataset:
     """dataset.load_dataset as it was written before trial files were read in
     a process pool: one loop that checks each manifest entry, then reads and
-    checks its file, and raises at the first fault."""
+    checks its file, and raises at the first fault. The header line is read
+    inside the parse's try, as in dataset._read_trial."""
     path = Path(manifest_path)
     if not path.exists():
         raise DataError("MissingFile", repr(str(path)))
@@ -172,13 +173,14 @@ def load_dataset_reference(manifest_path) -> Dataset:
         if not fpath.is_file():
             raise DataError("MissingFile", repr(str(fpath)), trial_id=tid)
         with open(fpath) as fh:
-            header = [name.strip() for name in fh.readline().split(",")]
-            if header != list(CHANNELS):
-                raise DataError("BadChannels", f"{fpath.name!r}: header {header}", trial_id=tid)
             try:
-                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+                header = [name.strip() for name in fh.readline().split(",")]
+                if header == list(CHANNELS):
+                    table = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise DataError("BadTrialFile", f"{fpath.name!r}: {exc}", trial_id=tid) from exc
+        if header != list(CHANNELS):
+            raise DataError("BadChannels", f"{fpath.name!r}: header {header}", trial_id=tid)
         if table.shape != (TRIAL_SAMPLES, len(CHANNELS)):
             raise DataError("BadSampleCount",
                             f"{fpath.name!r}: {table.shape[0]} rows x {table.shape[1]} cols, "

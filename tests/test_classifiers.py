@@ -269,7 +269,7 @@ class TestAdaBoost:
     def test_constant_features_rejected(self):
         X = np.ones((6, 4))
         y = np.array([RIGHT, LEFT] * 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ArithmeticError):
             cl.train_adaboost(X, y, CFG)
 
 

@@ -224,7 +224,7 @@ class TestBatchReport:
         with pytest.raises(ValueError) as info:
             ev.batch_report([report6, report6, subset])
         assert str(info.value) == (
-            "reports disagree on classifier sets: report 3 has ['SVM', 'KNN', 'LDA', 'Rule'], "
+            "ClassifierMismatch: reports disagree on classifier sets: report 3 has ['SVM', 'KNN', 'LDA', 'Rule'], "
             "report 1 has ['SVM', 'KNN', 'NaiveBayes', 'Boosting', 'LDA', 'Rule']")
 
 

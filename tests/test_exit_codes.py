@@ -1,0 +1,188 @@
+"""One exit code per kind of fault: each row of the README exit-code table, and
+each data fault a user can cause, ends the CLI with its code and one stderr
+line (besides warnings) that names the fault, never with a traceback; an
+exception of any other kind is a bug and propagates out of cli.main."""
+
+import json
+
+import numpy as np
+import pytest
+
+from motorclass import cli, dataset
+
+
+@pytest.fixture(scope="module")
+def ds(tmp_path_factory):
+    """Three trials per side at 6 dB."""
+    out = tmp_path_factory.mktemp("exit") / "ds"
+    assert cli.main(["synth", "--out", str(out), "--n-per-side", "3",
+                     "--asymmetry-db", "6", "--seed", "1"]) == cli.EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="module")
+def zeros(tmp_path_factory):
+    """Three trials per side whose samples are all 0."""
+    trials = [dataset.Trial(i, dataset.RIGHT if i < 3 else dataset.LEFT,
+                            np.zeros((len(dataset.CHANNELS), dataset.TRIAL_SAMPLES)))
+              for i in range(6)]
+    return dataset.save_dataset(dataset.Dataset("zeros", trials),
+                                tmp_path_factory.mktemp("exit") / "zeros").parent
+
+
+def _manifest(ds, tmp, keep=None, **entry_fields):
+    """A copy of ds's manifest in tmp, trial files by absolute path, keeping the
+    trial entries keep(entries) and updating entry i with entry_fields["t<i>"]."""
+    blob = json.loads((ds / "manifest.json").read_text())
+    for entry in blob["trials"]:
+        entry["file"] = str(ds / entry["file"])
+    for key, fields in entry_fields.items():
+        blob["trials"][int(key[1:])].update(fields)
+    if keep is not None:
+        blob["trials"] = keep(blob["trials"])
+    path = tmp / "manifest.json"
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+def _per_side(n):
+    return lambda trials: ([e for e in trials if e["label"] == 1][:n]
+                           + [e for e in trials if e["label"] == 2][:n])
+
+
+def _json(tmp, blob):
+    path = tmp / "blob.json"
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+def _reports(tmp, *kind_lists):
+    cell = {"tp": 1, "fp": 0, "fn": 0, "tn": 1}
+    paths = []
+    for i, kinds in enumerate(kind_lists):
+        path = tmp / f"report{i}.json"
+        path.write_text(json.dumps({"subject_id": "s", "classifiers": [
+            {"kind": kind, "per_fold": [cell]} for kind in kinds]}))
+        paths.append(str(path))
+    return paths
+
+
+def _not_utf8_header(ds, tmp):
+    bad = tmp / "bad.csv"
+    bad.write_bytes(b"\xff" + (ds / "trial_0002.csv").read_bytes())
+    return ["validate", _manifest(ds, tmp, t2={"file": str(bad)})]
+
+
+def _not_utf8_report(ds, tmp):
+    bad = tmp / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    return ["report", str(bad), "--out", str(tmp / "o")]
+
+
+def _out_is_a_file(ds, tmp):
+    (tmp / "afile").write_text("")
+    return ["features", str(ds / "manifest.json"), "--out", str(tmp / "afile")]
+
+
+# (argv builder taking the dataset and a scratch directory, exit code, prefix
+# of the one error line; None for success, which prints no error line)
+ROWS = {
+    # README: 0 success
+    "success": (lambda ds, tmp: ["validate", str(ds / "manifest.json")], 0, None),
+    # README: 1 usage error
+    "bad_flag": (lambda ds, tmp: ["synth", "--bogus"], 1, "usage error: unrecognized arguments"),
+    "bad_config_file": (lambda ds, tmp: ["synth", "--config", str(tmp / "none.json"),
+                                         "--out", str(tmp / "o")],
+                        1, "usage error: config file not found: "),
+    "bad_config_key": (lambda ds, tmp: ["synth", "--config", _json(tmp, {"cv": {"k": 5}}),
+                                        "--out", str(tmp / "o")],
+                       1, "usage error: unknown config key cv.k"),
+    "bad_config_value": (lambda ds, tmp: ["synth", "--config",
+                                          _json(tmp, {"cv": {"seed": "x"}}),
+                                          "--out", str(tmp / "o")],
+                         1, "usage error: cv.seed must be an integer"),
+    "out_is_a_file": (_out_is_a_file, 1, "usage error: output directory "),
+    "nul_in_out_path": (lambda ds, tmp: ["synth", "--config",
+                                         _json(tmp, {"io": {"output": "a\0b"}})],
+                        1, "usage error: io.output must be a string or null, got 'a\\x00b'"),
+    # README: 2 data error, missing or malformed dataset files and bad labels
+    "missing_manifest": (lambda ds, tmp: ["validate", str(tmp / "none.json")],
+                         2, "data error: MissingFile: "),
+    "malformed_manifest": (lambda ds, tmp: ["validate", _json(tmp, [1])],
+                           2, "data error: BadManifest: manifest must be an object"),
+    "bad_label": (lambda ds, tmp: ["validate", _manifest(ds, tmp, t1={"label": 3})],
+                  2, "data error: BadLabel (trial 1): label=3"),
+    # data faults raised where they arise
+    "too_few_trials_per_side": (lambda ds, tmp: ["evaluate", _manifest(ds, tmp, _per_side(2)),
+                                                 "--out", str(tmp / "o")],
+                                2, "data error: TooFewTrials: need >= 3 units of label 1, got 2"),
+    "one_label_evaluate": (lambda ds, tmp: ["evaluate",
+                                            _manifest(ds, tmp, lambda t: t[:3]),
+                                            "--out", str(tmp / "o")],
+                           2, "data error: TooFewTrials: need >= 3 units of label 2, got 0"),
+    "one_label_ttest": (lambda ds, tmp: ["ttest", _manifest(ds, tmp, lambda t: t[:3]),
+                                         "--out", str(tmp / "o")],
+                        2, "data error: OneLabel: significance_map needs rows of both labels"),
+    "unequal_counts": (lambda ds, tmp: ["ttest", _manifest(ds, tmp, lambda t: t[:5]),
+                                        "--out", str(tmp / "o")],
+                       2, "data error: UnequalCounts: the rank-paired t-test needs equal "
+                          "right/left counts, got 24 right and 16 left"),
+    "one_pair_trial_level": (lambda ds, tmp: ["ttest", _manifest(ds, tmp, _per_side(1)),
+                                              "--level", "trial", "--out", str(tmp / "o")],
+                             2, "data error: TooFewPairs: paired_t needs at least 2 pairs, got 1"),
+    "knn_k_above_rows": (lambda ds, tmp: ["evaluate", str(ds / "manifest.json"), "--config",
+                                          _json(tmp, {"train": {"knn_k": 10001}}),
+                                          "--out", str(tmp / "o")],
+                         2, "data error: TooFewRows: KNN needs at least k=10001 training rows, "
+                            "got 32"),
+    "classifier_mismatch": (lambda ds, tmp: ["report", *_reports(tmp, ["SVM", "KNN", "LDA"],
+                                                                 ["SVM", "LDA"]),
+                                             "--out", str(tmp / "o")],
+                            2, "data error: ClassifierMismatch: reports disagree on classifier "
+                               "sets: report 2 has ['SVM', 'LDA'], report 1 has "),
+    "not_utf8_trial_header": (_not_utf8_header, 2,
+                              "data error: BadTrialFile (trial 2): 'bad.csv': 'utf-8' codec "
+                              "can't decode byte 0xff in position 0"),
+    "not_utf8_report": (_not_utf8_report, 2,
+                        "data error: BadReport: {tmp}/bad.json: 'utf-8' codec can't decode "
+                        "byte 0xff in position 0"),
+    # README: 3 numeric error
+    "even_taps": (lambda ds, tmp: ["features", str(ds / "manifest.json"), "--config",
+                                   _json(tmp, {"filter": {"taps": 1690}}),
+                                   "--out", str(tmp / "o")],
+                  3, "numeric error: tap count must be odd and >= 3, got 1690"),
+    "constant_features": (lambda zeros, tmp: ["evaluate", str(zeros / "manifest.json"),
+                                              "--out", str(tmp / "o")],
+                          3, "numeric error: no usable stump: every feature is constant"),
+    "singular_covariance": (lambda zeros, tmp: ["evaluate", str(zeros / "manifest.json"),
+                                                "--classifiers", "svm,knn,lda",
+                                                "--out", str(tmp / "o")],
+                            3, "numeric error: pooled covariance is not positive definite"),
+}
+ON_ZEROS = {"constant_features", "singular_covariance"}
+
+
+@pytest.mark.parametrize("row", ROWS, ids=ROWS)
+def test_exit_code_and_one_line(request, tmp_path, capsys, row):
+    make, code, prefix = ROWS[row]
+    data = request.getfixturevalue("zeros" if row in ON_ZEROS else "ds")
+    assert cli.main(make(data, tmp_path)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+    if prefix is None:
+        assert errors == []
+    else:
+        assert len(errors) == 1, err
+        assert errors[0].startswith(prefix.format(tmp=tmp_path)), err
+
+
+def test_bare_value_error_is_a_bug_that_propagates(ds, tmp_path, monkeypatch):
+    def broken(args, cfg, out):
+        raise ValueError("a bug, not a data fault")
+
+    monkeypatch.setitem(cli.COMMANDS, "features", broken)
+    with pytest.raises(ValueError, match="a bug, not a data fault"):
+        cli.main(["features", str(ds / "manifest.json"), "--out", str(tmp_path / "new" / "o")])
+    # the output directory it created goes too, as for any failed command
+    assert not (tmp_path / "new").exists()
