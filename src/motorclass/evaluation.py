@@ -99,20 +99,14 @@ def run_cv(dataset: Dataset, cfg: classifiers.TrainConfig, seed: int,
            kinds=None, ranking_source: str = RANKING_SOURCES[0],
            scale: str = features.SCALES[0], granularity: str = GRANULARITIES[0],
            filt: dsp.FirFilter | None = None) -> dict:
-    """Full cross-validated evaluation; returns the report as a plain dict.
-
-    Per fold: fit the scaler on training rows only, train the requested models
-    (default all five), rank them for the rule ensemble on an inner
-    calibration holdout (or on training accuracy with ranking_source="train"),
-    refit on the whole training fold, then score the held-out fold's epochs.
-    Folds split trials, or epoch rows with granularity="epoch"; filt=None is DEFAULT_FILTER.
-    """
+    """Full cross-validated evaluation of the requested models (default all
+    five); returns the report as a plain dict. Folds split trials, or epoch
+    rows with granularity="epoch"; filt=None is DEFAULT_FILTER."""
     if ranking_source not in RANKING_SOURCES:
         raise ValueError(f"ranking_source must be one of {RANKING_SOURCES}, got {ranking_source!r}")
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
     kinds = classifiers.MODEL_KINDS if kinds is None else tuple(kinds)
-    use_rule = len(kinds) >= 3
     fm = features.build_feature_matrix(
         dataset, filt or dsp.design_bandpass(FS, *DEFAULT_FILTER), scale=scale)
 
@@ -123,53 +117,56 @@ def run_cv(dataset: Dataset, cfg: classifiers.TrainConfig, seed: int,
     unit_fold = _assign_folds(unit_y, seed)
     row_fold = unit_fold[row_unit]
 
-    per_fold_cms = {kind: [] for kind in (*kinds, *(["Rule"] if use_rule else []))}
+    folds = []
     for f in range(FOLD_K):
-        test_rows = np.nonzero(row_fold == f)[0]
-        train_rows = np.nonzero(row_fold != f)[0]
-        X_train, y_train = fm.X[train_rows], fm.y[train_rows]
-        X_test, y_test = fm.X[test_rows], fm.y[test_rows]
-
-        scaler = features.fit_scaler(X_train)
-        Z_train = features.apply_scaler(scaler, X_train)
-        Z_test = features.apply_scaler(scaler, X_test)
-        models = classifiers.train_all(Z_train, y_train, cfg, kinds=kinds)
-
-        if use_rule:
-            if ranking_source == "train":
-                ensemble = fusion.rank_models(models, Z_train, y_train)
-            else:
-                train_units = unit_fold != f
-                _, calib_ids = fusion.make_calibration_split(
-                    unit_ids[train_units], unit_y[train_units], [seed, f])
-                calib_idx = np.isin(units[train_rows], calib_ids)
-                fit_idx = ~calib_idx
-                inner_scaler = features.fit_scaler(X_train[fit_idx])
-                inner_models = classifiers.train_all(
-                    features.apply_scaler(inner_scaler, X_train[fit_idx]),
-                    y_train[fit_idx], cfg, kinds=kinds)
-                ranking = fusion.rank_models(
-                    inner_models,
-                    features.apply_scaler(inner_scaler, X_train[calib_idx]),
-                    y_train[calib_idx])
-                ensemble = fusion.replace_models(ranking, models)
-
-        for kind in kinds:
-            pred = classifiers.predict(models[kind], Z_test)
-            per_fold_cms[kind].append(_confusion(y_test, pred))
-        if use_rule:
-            pred = fusion.rule_predict(ensemble, Z_test)
-            per_fold_cms["Rule"].append(_confusion(y_test, pred))
+        train, train_units = row_fold != f, unit_fold != f
+        calib = None
+        if ranking_source == "holdout":
+            _, calib_ids = fusion.make_calibration_split(
+                unit_ids[train_units], unit_y[train_units], [seed, f])
+            calib = np.isin(units[train], calib_ids)
+        folds.append(_score_fold(fm.X[train], fm.y[train], fm.X[~train], fm.y[~train],
+                                 calib, cfg, kinds))
 
     report = {
         "subject_id": dataset.subject_id,
         "seed": seed,
-        "classifiers": [_summarize(kind, per_fold_cms[kind])
-                        for kind in REPORT_ORDER if kind in per_fold_cms],
+        "classifiers": [_summarize(kind, [cms[kind] for cms in folds])
+                        for kind in REPORT_ORDER if kind in folds[0]],
     }
-    if not use_rule:
+    if "Rule" not in folds[0]:
         report["rule_error"] = "rule fusion needs >= 3 classifiers"
     return report
+
+
+def _score_fold(X_train, y_train, X_test, y_test, calib, cfg, kinds) -> dict:
+    """One fold: fit the scaler on training rows only, train the models, rank
+    them for the rule ensemble on the calibration rows calib marks (or on
+    training accuracy if calib is None) after a refit on the other training
+    rows, then score the held-out rows with the models of the whole training
+    fold. Returns {kind: ConfusionMatrix}, plus "Rule" with >= 3 kinds."""
+    scaler, Z_train, models = _fit(X_train, y_train, cfg, kinds)
+    Z_test = features.apply_scaler(scaler, X_test)
+    cms = {kind: _confusion(y_test, classifiers.predict(models[kind], Z_test))
+           for kind in kinds}
+    if len(kinds) < 3:
+        return cms
+    if calib is None:
+        ensemble = fusion.rank_models(models, Z_train, y_train)
+    else:
+        inner_scaler, _, inner_models = _fit(X_train[~calib], y_train[~calib], cfg, kinds)
+        ensemble = fusion.replace_models(fusion.rank_models(
+            inner_models, features.apply_scaler(inner_scaler, X_train[calib]),
+            y_train[calib]), models)
+    cms["Rule"] = _confusion(y_test, fusion.rule_predict(ensemble, Z_test))
+    return cms
+
+
+def _fit(X, y, cfg, kinds):
+    """Z-score X on its own statistics and train the models on it."""
+    scaler = features.fit_scaler(X)
+    Z = features.apply_scaler(scaler, X)
+    return scaler, Z, classifiers.train_all(Z, y, cfg, kinds=kinds)
 
 
 def _percents(cells: list) -> dict:

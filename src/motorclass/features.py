@@ -18,8 +18,9 @@ SCALES = ("linear", "db")
 
 @dataclass
 class Scaler:
-    mean: np.ndarray  # (300,)
-    std: np.ndarray   # (300,)
+    mean: np.ndarray      # (300,)
+    std: np.ndarray       # (300,)
+    constant: np.ndarray  # (300,) bool, columns that z-score to 0
 
 
 @dataclass
@@ -79,22 +80,34 @@ def build_feature_matrix(dataset: Dataset, filt: dsp.FirFilter,
     return FeatureMatrix(X=X, y=y, trial_ids=trial_ids, epochs=epoch_idx)
 
 
+def moments(X: np.ndarray, ddof: int = 0):
+    """Mean and standard deviation along axis 0. Each column is first scaled
+    by the power of two that brings its largest magnitude into [0.5, 1), so
+    the squares neither overflow nor underflow; power-of-two scaling is exact,
+    so both equal X.mean(axis=0) and X.std(axis=0, ddof=ddof) bit for bit
+    wherever those stay finite and normal."""
+    scale = np.ldexp(1.0, -np.frexp(np.abs(X).max(axis=0))[1])
+    S = X * scale
+    return S.mean(axis=0) / scale, S.std(axis=0, ddof=ddof) / scale
+
+
 def fit_scaler(X: np.ndarray) -> Scaler:
-    """Per-column mean/stddev from training rows only."""
+    """Per-column mean/stddev from training rows only. A column is constant
+    when its stddev is at most 1e-12 of its largest magnitude, so the choice
+    does not depend on the unit of the samples."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("scaler needs at least 2 training rows")
-    return Scaler(mean=X.mean(axis=0), std=X.std(axis=0))
+    mean, std = moments(X)
+    return Scaler(mean=mean, std=std, constant=std <= 1e-12 * np.abs(X).max(axis=0))
 
 
 def apply_scaler(scaler: Scaler, X: np.ndarray) -> np.ndarray:
-    """Z-score with the fitted statistics; columns whose training stddev is
-    below 1e-12 come out identically 0."""
+    """Z-score with the fitted statistics; constant columns come out identically 0."""
     X = np.asarray(X, dtype=float)
-    degenerate = scaler.std < 1e-12
-    safe = np.where(degenerate, 1.0, scaler.std)
+    safe = np.where(scaler.constant, 1.0, scaler.std)
     Z = (X - scaler.mean) / safe
-    Z[:, degenerate] = 0.0
+    Z[:, scaler.constant] = 0.0
     return Z
 
 

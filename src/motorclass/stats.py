@@ -11,7 +11,7 @@ import numpy as np
 
 from . import dsp
 from .dataset import CHANNELS, EPOCHS_PER_TRIAL, GEN_BAND_HZ, LEFT, RIGHT, DataError, write_csv
-from .features import FeatureMatrix
+from .features import FeatureMatrix, moments
 
 # PSD bins (1-based, center 2k Hz) assigned to the classical bands: bin k
 # goes to the band whose generation interval holds 2k Hz; together the four
@@ -118,9 +118,7 @@ def paired_t(x, y) -> TTestResult:
         raise DataError("TooFewPairs", f"paired_t needs at least 2 pairs, got {n}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("paired_t inputs must be finite")
-    d = x - y
-    mean = d.mean()
-    sd = d.std(ddof=1)
+    mean, sd = moments(x - y, ddof=1)
     if sd == 0.0:
         if mean == 0.0:
             return TTestResult(t=0.0, df=n - 1, p=1.0, n=n)

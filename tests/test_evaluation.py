@@ -2,12 +2,15 @@
 structure, determinism, and report combination."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from motorclass import evaluation as ev
 from motorclass.classifiers import TrainConfig
+from motorclass.features import build_feature_matrix
+from motorclass.stats import significance_map
 from motorclass.dataset import LEFT, RIGHT, SynthConfig, generate_synthetic
 
 
@@ -191,6 +194,37 @@ class TestRunCv:
         got = {e["kind"]: [(cm["tp"], cm["fp"], cm["fn"], cm["tn"]) for cm in e["per_fold"]]
                for e in report["classifiers"]}
         assert got == GOLDEN_PER_FOLD[(granularity, ranking)]
+
+
+
+class TestSampleUnit:
+    """A power-of-two factor on every sample scales each feature column
+    exactly, so the z-scores, the t map and every count must come out bitwise
+    unchanged: the unit the samples are recorded in (uV or V) moves no result."""
+
+    @pytest.fixture(scope="class")
+    def ds_seed1(self):
+        return generate_synthetic(SynthConfig(n_trials_per_side=6, asymmetry_db=6.0, seed=1))
+
+    @staticmethod
+    def results(ds, bp_filter):
+        report = ev.run_cv(ds, TrainConfig(seed=0), seed=0)
+        smap = significance_map(build_feature_matrix(ds, bp_filter))
+        return [(e["kind"], e["per_fold"]) for e in report["classifiers"]], smap
+
+    @pytest.fixture(scope="class")
+    def unscaled(self, ds_seed1, bp_filter):
+        return self.results(ds_seed1, bp_filter)
+
+    @pytest.mark.parametrize("factor", [2.0 ** -20, 2.0 ** 256], ids=["2^-20", "2^256"])
+    def test_results_bitwise_unchanged(self, ds_seed1, bp_filter, unscaled, factor):
+        scaled = replace(ds_seed1, trials=[replace(t, samples=t.samples * factor)
+                                           for t in ds_seed1.trials])
+        cells, smap = self.results(scaled, bp_filter)
+        want_cells, want = unscaled
+        assert want.significant.sum() == 20
+        assert cells == want_cells
+        assert np.array_equal(smap.t, want.t) and np.array_equal(smap.p, want.p)
 
 
 class TestBatchReport:

@@ -6,7 +6,7 @@ import pytest
 from motorclass import dataset, features
 from motorclass.dataset import LEFT, RIGHT, SynthConfig, generate_synthetic
 from motorclass.features import (apply_scaler, build_feature_matrix, epoch_trial,
-                                 feature_names, fit_scaler, save_features_csv)
+                                 feature_names, fit_scaler, moments, save_features_csv)
 from oracles import direct_fir, periodogram_psd
 
 
@@ -93,9 +93,55 @@ class TestScaler:
         # the scaler did not move: shifted rows come out shifted, not re-centered
         assert np.allclose(zb - za, 100.0 / scaler.std)
 
+    def test_constant_rule_is_relative(self):
+        # a column wobbling by one ulp of 1e8 is constant; one in units of 1e-14 is not
+        big = np.where(np.arange(10) % 2 == 0, 1e8, np.nextafter(1e8, 2e8))
+        small = np.arange(10.0) * 1e-14
+        X = np.column_stack([big, small])
+        scaler = fit_scaler(X)
+        assert scaler.std[0] > 1e-12 and scaler.std[1] < 1e-12
+        assert scaler.constant.tolist() == [True, False]
+        Z = apply_scaler(scaler, X)
+        assert np.all(Z[:, 0] == 0.0)
+        assert np.std(Z[:, 1]) == pytest.approx(1.0)
+
+    def test_huge_features_keep_their_spread(self):
+        # squares of 1e160 overflow; the z-scores must not notice the unit
+        rng = np.random.default_rng(8)
+        X = rng.normal(loc=3.0, scale=2.0, size=(50, 4))
+        big = X * 2.0 ** 540
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(big.std(axis=0)).any()
+        assert np.array_equal(apply_scaler(fit_scaler(big), big), apply_scaler(fit_scaler(X), X))
+
     def test_fit_needs_two_rows(self):
         with pytest.raises(ValueError):
             fit_scaler(np.zeros((1, 3)))
+
+
+
+class TestMoments:
+    def test_bitwise_equal_to_numpy_where_finite(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-30, 30)
+            for ddof in (0, 1):
+                mean, std = moments(x, ddof=ddof)
+                assert mean == x.mean() and std == x.std(ddof=ddof)
+        X = rng.normal(size=(60, 5)) * 10.0 ** rng.uniform(-30, 30, size=5)
+        mean, std = moments(X)
+        assert np.array_equal(mean, X.mean(axis=0)) and np.array_equal(std, X.std(axis=0))
+
+    def test_no_overflow_or_underflow(self):
+        x = np.array([1.0, 2.0, 4.0, 7.0])
+        for factor in (2.0 ** 600, 2.0 ** -600):
+            mean, std = moments(x * factor, ddof=1)
+            assert mean == x.mean() * factor and std == x.std(ddof=1) * factor
+
+    def test_zero_column(self):
+        mean, std = moments(np.zeros((3, 2)))
+        assert mean.tolist() == [0.0, 0.0] and std.tolist() == [0.0, 0.0]
 
 
 class TestCsvExport:

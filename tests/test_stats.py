@@ -72,6 +72,15 @@ class TestPairedT:
         a, b = paired_t(x, y), paired_t(y, x)
         assert a.t == pytest.approx(-b.t) and a.p == pytest.approx(b.p)
 
+    def test_scale_free(self):
+        # d.std() of differences near 1e160 overflows; t and p must not move
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(loc=0.5, size=12), rng.normal(size=12)
+        want = paired_t(x, y)
+        for factor in (2.0 ** 540, 2.0 ** -540):
+            got = paired_t(x * factor, y * factor)
+            assert (got.t, got.p) == (want.t, want.p)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             paired_t([1.0], [2.0])
