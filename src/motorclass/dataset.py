@@ -297,22 +297,45 @@ def _read_trial(entry) -> Trial:
     return Trial(trial_id=tid, label=label, samples=np.ascontiguousarray(table.T))
 
 
-def _read_trials(entries) -> list:
-    """_read_trial over the entries, in order. np.loadtxt holds the GIL, so
-    the files are parsed in up to one forked process per available CPU, one
-    file per task; the first failing entry's exception is raised, as a
-    sequential loop would raise it. The pool modules are imported here
-    because importing them would slow every command's start-up. Workers are
-    forked, not spawned, so they do not import numpy and the package again;
-    they call no BLAS routine, and the pool forks them all before it starts
-    its own thread."""
-    workers = min(len(os.sched_getaffinity(0)), len(entries))
+# (fn, items) of the fork_map call in progress; its forked workers inherit it
+_JOB = None
+
+
+def _run_job(i):
+    fn, items = _JOB
+    return fn(items[i])
+
+
+def fork_map(fn, items) -> list:
+    """[fn(x) for x in items], in order, computed in up to one forked process
+    per available CPU; with fewer than 2 workers it is the builtin map in the
+    calling process. The first failing item's exception is raised, as a
+    sequential loop would raise it. Items are sent in chunks of about a
+    quarter of each worker's share, as multiprocessing.Pool.map sends them,
+    because one task per item costs the parent a wake-up per result.
+
+    Neither fn nor the items are pickled, so fn may be a closure: the pair is
+    put in _JOB before the pool forks its workers, which inherit it and are
+    sent item indices; only the results cross the pipe. The helper is
+    therefore not re-entrant: fn must not call fork_map, and only one thread
+    at a time may call it. The pool modules are imported here because
+    importing them would slow every command's start-up. Workers are forked,
+    not spawned, so they do not import numpy and the package again; fn must
+    call no BLAS routine, and the pool forks all its workers before it
+    starts its own thread."""
+    global _JOB
+    workers = min(len(os.sched_getaffinity(0)), len(items))
     if workers < 2:
-        return list(map(_read_trial, entries))
+        return list(map(fn, items))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_read_trial, entries))
+    _JOB = (fn, items)
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_run_job, range(len(items)),
+                                 chunksize=-(-len(items) // (4 * workers))))
+    finally:
+        _JOB = None
 
 
 def load_dataset(manifest_path) -> Dataset:
@@ -349,7 +372,7 @@ def load_dataset(manifest_path) -> Dataset:
             checked.append(entry)
     except DataError as exc:
         fault = exc
-    trials = _read_trials(checked)
+    trials = fork_map(_read_trial, checked)
     if fault is not None:
         raise fault
     ds = Dataset(subject_id=manifest["subject_id"], trials=trials)

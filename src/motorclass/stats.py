@@ -118,7 +118,11 @@ def paired_t(x, y) -> TTestResult:
         raise DataError("TooFewPairs", f"paired_t needs at least 2 pairs, got {n}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("paired_t inputs must be finite")
-    mean, sd = moments(x - y, ddof=1)
+    with np.errstate(over="ignore"):
+        d = x - y
+    if not np.all(np.isfinite(d)):
+        raise ArithmeticError("paired_t: a difference x - y overflows the float range")
+    mean, sd = moments(d, ddof=1)
     if sd == 0.0:
         if mean == 0.0:
             return TTestResult(t=0.0, df=n - 1, p=1.0, n=n)

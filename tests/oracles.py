@@ -3,8 +3,9 @@
 Everything here is deliberately slow and simple: quadratic-time DFT, direct
 tap-by-tap frequency response and convolution, a periodogram built on the
 quadratic-time DFT, adaptive quadrature of the t density, one Pegasos step
-at a time, one trial file after another. These are built and self-tested
-before the fast implementations they vet.
+at a time, one trial file after another, one trial's features after
+another. These are built and self-tested before the fast implementations
+they vet.
 """
 
 import json
@@ -15,8 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from motorclass import classifiers as cl
-from motorclass.dataset import (CHANNELS, FS, LEFT, RIGHT, TRIAL_SAMPLES, DataError, Dataset,
-                                Trial)
+from motorclass import dsp, features
+from motorclass.dataset import (CHANNELS, EPOCH_SAMPLES, EPOCHS_PER_TRIAL, FS, LEFT, RIGHT,
+                                TRIAL_SAMPLES, DataError, Dataset, Trial)
 
 
 def brute_dft(x, inverse: bool = False) -> np.ndarray:
@@ -193,6 +195,34 @@ def load_dataset_reference(manifest_path) -> Dataset:
     if ds.count(RIGHT) != ds.count(LEFT):
         warnings.warn(f"imbalanced dataset: {ds.count(RIGHT)} right vs {ds.count(LEFT)} left")
     return ds
+
+
+def build_feature_matrix_reference(dataset, filt, scale: str = "linear"):
+    """features.build_feature_matrix as it was written before trials were
+    filtered in a process pool: one loop that filters, epochs and PSDs each
+    trial in the calling process and writes its rows into X."""
+    if scale not in features.SCALES:
+        raise ValueError(f"scale must be one of {features.SCALES}, got {scale!r}")
+    n_trials = len(dataset.trials)
+    X = np.empty((n_trials * EPOCHS_PER_TRIAL, features.N_FEATURES))
+    y = np.empty(n_trials * EPOCHS_PER_TRIAL, dtype=int)
+    trial_ids = np.empty_like(y)
+    epoch_idx = np.empty_like(y)
+    for i, trial in enumerate(dataset.trials):
+        filtered = dsp._filter_rows(filt, np.asarray(trial.samples, dtype=float))
+        epochs = features.epoch_trial(filtered)  # (8, 12, 512)
+        psd = dsp._psd_epoch_rows(epochs.reshape(-1, EPOCH_SAMPLES))
+        rows = psd.reshape(EPOCHS_PER_TRIAL, len(CHANNELS) * dsp.PSD_BINS)
+        sl = slice(i * EPOCHS_PER_TRIAL, (i + 1) * EPOCHS_PER_TRIAL)
+        X[sl] = rows
+        y[sl] = trial.label
+        trial_ids[sl] = trial.trial_id
+        epoch_idx[sl] = np.arange(EPOCHS_PER_TRIAL)
+    if scale == "db":
+        X = 10.0 * np.log10(np.maximum(X, 1e-20))
+    if not np.all(np.isfinite(X)):
+        raise dsp.DspError("feature matrix contains non-finite values")
+    return features.FeatureMatrix(X=X, y=y, trial_ids=trial_ids, epochs=epoch_idx)
 
 
 # The CSV tables as the package wrote them with hand-rolled f-string loops,

@@ -81,6 +81,11 @@ class TestPairedT:
             got = paired_t(x * factor, y * factor)
             assert (got.t, got.p) == (want.t, want.p)
 
+    def test_overflowing_difference_is_a_numeric_error(self):
+        # finite inputs whose difference is not: an ArithmeticError (exit 3), not a NaN t
+        with pytest.raises(ArithmeticError, match="overflows"):
+            paired_t([1e308, 1e308, 0.0], [-1e308, 0.0, 0.0])
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             paired_t([1.0], [2.0])
