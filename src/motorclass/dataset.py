@@ -222,24 +222,36 @@ def write_json(path, obj) -> Path:
     return path
 
 
+def _write_trial(out: Path, trial: Trial) -> str:
+    """Write one trial's samples to out/trial_XXXX.csv; returns the file name."""
+    name = f"trial_{trial.trial_id:04d}.csv"
+    write_csv(out / name, CHANNELS, ["%.17g"] * len(CHANNELS),
+              (row.tolist() for row in trial.samples.T))
+    return name
+
+
 def save_dataset(dataset: Dataset, out_dir) -> Path:
-    """Write manifest.json plus one CSV per trial, then delete the trial_*.csv
-    files in out_dir that the manifest does not list; returns the manifest path."""
+    """Write one CSV per trial and manifest.json, then delete the trial_*.csv
+    files in out_dir that the manifest does not list; returns the manifest path.
+
+    The trial files are written through fork_map, so only their names come
+    back from the workers. If a trial's write raises OSError, the first
+    failing trial's error is raised, in trial order, as a sequential loop
+    would raise it; manifest.json is then neither written nor updated, and
+    files for later trials may exist where the loop would not have written
+    them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for trial in dataset.trials:
-        name = f"trial_{trial.trial_id:04d}.csv"
-        write_csv(out / name, CHANNELS, ["%.17g"] * len(CHANNELS),
-                  (row.tolist() for row in trial.samples.T))
-        entries.append({"trial_id": trial.trial_id, "label": trial.label, "file": name})
+    names = fork_map(lambda trial: _write_trial(out, trial), dataset.trials)
+    entries = [{"trial_id": trial.trial_id, "label": trial.label, "file": name}
+               for trial, name in zip(dataset.trials, names)]
     manifest = write_json(out / "manifest.json", {
         "subject_id": dataset.subject_id,
         "fs": FS,
         "channels": list(CHANNELS),
         "trials": entries,
     })
-    listed = {entry["file"] for entry in entries}
+    listed = set(names)
     for stale in out.glob("trial_*.csv"):
         if stale.name not in listed:
             stale.unlink()

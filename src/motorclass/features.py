@@ -90,15 +90,22 @@ def build_feature_matrix(dataset: Dataset, filt: dsp.FirFilter,
     return FeatureMatrix(X=X, y=y, trial_ids=trial_ids, epochs=epoch_idx)
 
 
-def moments(X: np.ndarray, ddof: int = 0):
-    """Mean and standard deviation along axis 0. Each column is first scaled
-    by the power of two that brings its largest magnitude into [0.5, 1), so
-    the squares neither overflow nor underflow; power-of-two scaling is exact,
-    so both equal X.mean(axis=0) and X.std(axis=0, ddof=ddof) bit for bit
-    wherever those stay finite and normal."""
+def scaled_moments(X: np.ndarray, ddof: int = 0):
+    """Mean and standard deviation along axis 0 of X * scale, and scale: the
+    per-column power of two that brings the column's largest magnitude into
+    [0.5, 1), so the squares neither overflow nor underflow."""
     scale = np.ldexp(1.0, -np.frexp(np.abs(X).max(axis=0))[1])
     S = X * scale
-    return S.mean(axis=0) / scale, S.std(axis=0, ddof=ddof) / scale
+    return S.mean(axis=0), S.std(axis=0, ddof=ddof), scale
+
+
+def moments(X: np.ndarray, ddof: int = 0):
+    """Mean and standard deviation along axis 0, from scaled_moments;
+    power-of-two scaling is exact, so both equal X.mean(axis=0) and
+    X.std(axis=0, ddof=ddof) bit for bit wherever those stay finite and
+    normal."""
+    mean, std, scale = scaled_moments(X, ddof)
+    return mean / scale, std / scale
 
 
 def fit_scaler(X: np.ndarray) -> Scaler:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import dsp
 from .dataset import CHANNELS, EPOCHS_PER_TRIAL, GEN_BAND_HZ, LEFT, RIGHT, DataError, write_csv
-from .features import FeatureMatrix, moments
+from .features import FeatureMatrix, scaled_moments
 
 # PSD bins (1-based, center 2k Hz) assigned to the classical bands: bin k
 # goes to the band whose generation interval holds 2k Hz; together the four
@@ -122,7 +122,9 @@ def paired_t(x, y) -> TTestResult:
         d = x - y
     if not np.all(np.isfinite(d)):
         raise ArithmeticError("paired_t: a difference x - y overflows the float range")
-    mean, sd = moments(d, ddof=1)
+    # t is scale-free, so it is formed from the scaled moments: their
+    # unscaled std can overflow where the differences themselves do not
+    mean, sd, _ = scaled_moments(d, ddof=1)
     if sd == 0.0:
         if mean == 0.0:
             return TTestResult(t=0.0, df=n - 1, p=1.0, n=n)

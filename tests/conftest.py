@@ -1,11 +1,34 @@
 """Shared fixtures. The Monte-Carlo style results (multi-seed generation runs,
 cross-validation sweeps) are computed once per session and reused by both the
-module tests and the acceptance gate."""
+module tests and the acceptance gate. pool_on and its _RecordingPool are the
+one spy on the process pools that dataset.fork_map makes."""
+
+import concurrent.futures
+import os
 
 import numpy as np
 import pytest
 
 from motorclass import classifiers, dataset, dsp, evaluation, features, stats
+
+
+class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    sizes = []
+
+    def __init__(self, max_workers, **kwargs):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+@pytest.fixture
+def pool_on(monkeypatch):
+    """Sets the CPUs the process may run on and records every pool made."""
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+
+    def cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return cpus
 
 
 @pytest.fixture(scope="session")

@@ -3,9 +3,9 @@
 Everything here is deliberately slow and simple: quadratic-time DFT, direct
 tap-by-tap frequency response and convolution, a periodogram built on the
 quadratic-time DFT, adaptive quadrature of the t density, one Pegasos step
-at a time, one trial file after another, one trial's features after
-another. These are built and self-tested before the fast implementations
-they vet.
+at a time, one trial file read or written after another, one trial's
+features after another. These are built and self-tested before the fast
+implementations they vet.
 """
 
 import json
@@ -18,7 +18,8 @@ import numpy as np
 from motorclass import classifiers as cl
 from motorclass import dsp, features
 from motorclass.dataset import (CHANNELS, EPOCH_SAMPLES, EPOCHS_PER_TRIAL, FS, LEFT, RIGHT,
-                                TRIAL_SAMPLES, DataError, Dataset, Trial)
+                                TRIAL_SAMPLES, DataError, Dataset, Trial, write_csv,
+                                write_json)
 
 
 def brute_dft(x, inverse: bool = False) -> np.ndarray:
@@ -223,6 +224,31 @@ def build_feature_matrix_reference(dataset, filt, scale: str = "linear"):
     if not np.all(np.isfinite(X)):
         raise dsp.DspError("feature matrix contains non-finite values")
     return features.FeatureMatrix(X=X, y=y, trial_ids=trial_ids, epochs=epoch_idx)
+
+
+def save_dataset_reference(dataset, out_dir) -> Path:
+    """dataset.save_dataset as it was written before trial files were written
+    in a process pool: one loop that writes each trial's CSV in the calling
+    process, then the manifest, then deletes the unlisted trial files."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for trial in dataset.trials:
+        name = f"trial_{trial.trial_id:04d}.csv"
+        write_csv(out / name, CHANNELS, ["%.17g"] * len(CHANNELS),
+                  (row.tolist() for row in trial.samples.T))
+        entries.append({"trial_id": trial.trial_id, "label": trial.label, "file": name})
+    manifest = write_json(out / "manifest.json", {
+        "subject_id": dataset.subject_id,
+        "fs": FS,
+        "channels": list(CHANNELS),
+        "trials": entries,
+    })
+    listed = {entry["file"] for entry in entries}
+    for stale in out.glob("trial_*.csv"):
+        if stale.name not in listed:
+            stale.unlink()
+    return manifest
 
 
 # The CSV tables as the package wrote them with hand-rolled f-string loops,

@@ -4,7 +4,6 @@ oracles.build_feature_matrix_reference on one CPU or several, and fork_map
 must keep item order, pickle neither its function nor its items, raise the
 first failing item's exception and leave no worker or job behind."""
 
-import concurrent.futures
 import multiprocessing
 import os
 import pickle
@@ -19,28 +18,10 @@ import motorclass
 from motorclass import dataset, dsp
 from motorclass.dataset import DataError, SynthConfig, fork_map, generate_synthetic, save_dataset
 from motorclass.features import build_feature_matrix
+from conftest import _RecordingPool
 from oracles import build_feature_matrix_reference
 
 SRC = str(Path(motorclass.__file__).resolve().parents[1])
-
-
-class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
-    sizes = []
-
-    def __init__(self, max_workers, **kwargs):
-        self.sizes.append(max_workers)
-        super().__init__(max_workers, **kwargs)
-
-
-@pytest.fixture
-def pool_on(monkeypatch):
-    """Sets the CPUs the process may run on and records every pool made."""
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-
-    def cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    return cpus
 
 
 @pytest.fixture(scope="module")

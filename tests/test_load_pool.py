@@ -3,7 +3,6 @@ the samples and the first error of the sequential loop kept as
 oracles.load_dataset_reference, on one CPU or several, and no worker may
 outlive the call."""
 
-import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -17,6 +16,7 @@ import pytest
 import motorclass
 from motorclass import dataset
 from motorclass.dataset import DataError, SynthConfig, generate_synthetic, save_dataset
+from conftest import _RecordingPool
 from oracles import load_dataset_reference
 
 SRC = str(Path(motorclass.__file__).resolve().parents[1])
@@ -124,21 +124,11 @@ def test_reference_reads_the_saved_samples(base):
     assert [t.samples.tobytes() for t in loaded.trials] == [t.samples.tobytes() for t in ds.trials]
 
 
-class _RecordingPool(concurrent.futures.ProcessPoolExecutor):
-    sizes = []
-
-    def __init__(self, max_workers, **kwargs):
-        self.sizes.append(max_workers)
-        super().__init__(max_workers, **kwargs)
-
-
 @pytest.mark.parametrize("edits", [[], [(3, _file(TEXT_CELL))]],
                          ids=["success", "fault_mid_list"])
-def test_no_worker_outlives_the_call(base, tmp_path, monkeypatch, edits):
+def test_no_worker_outlives_the_call(base, tmp_path, pool_on, edits):
     path = _manifest(base, tmp_path, edits)
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    pool_on(2)
     if edits:
         with pytest.raises(DataError) as err:
             dataset.load_dataset(path)

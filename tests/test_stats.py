@@ -81,6 +81,16 @@ class TestPairedT:
             got = paired_t(x * factor, y * factor)
             assert (got.t, got.p) == (want.t, want.p)
 
+    def test_overflowing_std_keeps_t(self):
+        # d = [a, -a, a]: t = 0.5 and p = 2/3 at df 2, though the unscaled
+        # sample std of a = 1.6e308 overflows; the 2^-1024 copy gives the same bits
+        x = np.array([1.6e308, -1.6e308, 1.6e308])
+        res = paired_t(x, np.zeros(3))
+        assert res.t == pytest.approx(0.5, abs=1e-12)
+        assert res.p == pytest.approx(2.0 / 3.0, abs=1e-9)
+        scaled = paired_t(np.ldexp(x, -1024), np.zeros(3))
+        assert (scaled.t, scaled.p) == (res.t, res.p)
+
     def test_overflowing_difference_is_a_numeric_error(self):
         # finite inputs whose difference is not: an ArithmeticError (exit 3), not a NaN t
         with pytest.raises(ArithmeticError, match="overflows"):
