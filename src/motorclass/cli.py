@@ -107,7 +107,11 @@ def _validate_config(cfg: dict) -> None:
             raise UsageError(f"{section}.{key} must be one of {', '.join(choices)}")
     if not 0.0 <= cfg["stats"]["alpha"] <= 1.0:
         raise UsageError("stats.alpha must be in [0, 1]")
-    for section, build in (("train", classifiers.TrainConfig), ("synth", dataset.SynthConfig)):
+    # a section is checked by building from it; the filter's check builds nothing
+    checks = (("filter", lambda low_hz, high_hz, taps:
+               dsp.check_bandpass(dataset.FS, low_hz, high_hz, taps)),
+              ("train", classifiers.TrainConfig), ("synth", dataset.SynthConfig))
+    for section, build in checks:
         try:
             build(**cfg[section])
         except ValueError as exc:
@@ -154,8 +158,9 @@ def _filter_from(cfg: dict) -> dsp.FirFilter:
 
 
 def _feature_matrix(cfg: dict, manifest: Path, scale: str) -> features.FeatureMatrix:
-    ds = dataset.load_dataset(manifest)
-    return features.build_feature_matrix(ds, _filter_from(cfg), scale=scale)
+    filt = _filter_from(cfg)
+    return features.build_feature_matrix(dataset.load_dataset(manifest, filt), filt,
+                                         scale=scale)
 
 
 def _parse_kinds(text):
@@ -186,7 +191,7 @@ def cmd_validate(args, cfg, out) -> None:
     flagged = 0
     if args.amplitude_check:
         for trial in ds.trials:
-            epochs = features.epoch_trial(np.asarray(trial.samples, dtype=float))
+            epochs = dsp.epoch_trial(np.asarray(trial.samples, dtype=float))
             flagged += int((np.abs(epochs).max(axis=(1, 2)) > args.amplitude_threshold).sum())
     msg = (f"ok: {len(ds.trials)} trials ({ds.count(dataset.RIGHT)} right, "
            f"{ds.count(dataset.LEFT)} left), {len(dataset.CHANNELS)} channels, fs={dataset.FS}")
@@ -223,12 +228,13 @@ def cmd_bands(args, cfg, out) -> None:
 
 
 def cmd_evaluate(args, cfg, out) -> None:
-    ds = dataset.load_dataset(_require_input(args, cfg))
+    filt = _filter_from(cfg)
+    ds = dataset.load_dataset(_require_input(args, cfg), filt)
     kinds = _parse_kinds(args.classifiers)
     report = evaluation.run_cv(
         ds, classifiers.TrainConfig(**cfg["train"]), seed=cfg["cv"]["seed"], kinds=kinds,
         ranking_source=cfg["fusion"]["ranking_source"], scale=cfg["features"]["scale"],
-        granularity=cfg["cv"]["granularity"], filt=_filter_from(cfg))
+        granularity=cfg["cv"]["granularity"], filt=filt)
     report["config"] = cfg
     dataset.write_json(out / "report.json", report)
     evaluation.report_to_csv(report, out / "report.csv")

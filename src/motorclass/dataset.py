@@ -17,11 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .dsp import EPOCH_SAMPLES, FS
-
-TRIAL_SECONDS = 8
-TRIAL_SAMPLES = FS * TRIAL_SECONDS
-EPOCHS_PER_TRIAL = 8
+from .dsp import EPOCH_SAMPLES, EPOCHS_PER_TRIAL, FS, TRIAL_SAMPLES
 
 RIGHT = 1
 LEFT = 2
@@ -65,13 +61,15 @@ class DataError(ValueError):
 class Trial:
     trial_id: int
     label: int
-    samples: np.ndarray  # (12 channels, 4096 samples), microvolts
+    samples: np.ndarray | None  # (12 channels, 4096 samples), microvolts
+    rows: np.ndarray | None = None  # (8, 300) feature rows, in place of the samples
 
 
 @dataclass
 class Dataset:
     subject_id: str
     trials: list
+    filt: dsp.FirFilter | None = None  # the filter the trials' rows were made under
 
     def count(self, label: int) -> int:
         return sum(1 for t in self.trials if t.label == label)
@@ -350,9 +348,14 @@ def fork_map(fn, items) -> list:
         _JOB = None
 
 
-def load_dataset(manifest_path) -> Dataset:
+def load_dataset(manifest_path, filt: dsp.FirFilter | None = None) -> Dataset:
     """Load and validate a dataset from its manifest; raises DataError on the
-    first violation, warns (does not reject) on left/right imbalance."""
+    first violation, warns (does not reject) on left/right imbalance.
+
+    The trial files are parsed through fork_map. With a filter, the worker
+    that parses a trial also filters, epochs and PSDs it (dsp._trial_rows),
+    so each trial comes back holding its rows and no samples, and the
+    dataset records filt as the filter they were made under."""
     path = Path(manifest_path)
     if not path.exists():
         raise DataError("MissingFile", repr(str(path)))
@@ -384,10 +387,16 @@ def load_dataset(manifest_path) -> Dataset:
             checked.append(entry)
     except DataError as exc:
         fault = exc
-    trials = fork_map(_read_trial, checked)
+    if filt is None:
+        read = _read_trial
+    else:
+        def read(entry):
+            trial = _read_trial(entry)
+            return Trial(trial.trial_id, trial.label, None, dsp._trial_rows(filt, trial.samples))
+    trials = fork_map(read, checked)
     if fault is not None:
         raise fault
-    ds = Dataset(subject_id=manifest["subject_id"], trials=trials)
+    ds = Dataset(subject_id=manifest["subject_id"], trials=trials, filt=filt)
     if ds.count(RIGHT) != ds.count(LEFT):
         warnings.warn(f"imbalanced dataset: {ds.count(RIGHT)} right vs {ds.count(LEFT)} left")
     return ds

@@ -1,12 +1,13 @@
 """Numerical kernels: radix-2 FFT, windowed-sinc FIR band-pass, per-epoch PSD,
-and the recording geometry they assume (FS, EPOCH_SAMPLES).
+and the recording geometry they assume (FS, EPOCH_SAMPLES, EPOCHS_PER_TRIAL).
 
 Everything here is pure, deterministic and batched: _filter_rows filters a
 trial's rows and _psd_epoch_rows gives every epoch's PSD, both on
 _fft_last_axis, a self-sorting (Stockham) radix-2 FFT with cached twiddles
-(the inverse uses conjugate twiddles); fft is its checked 1-D form. Real
-signals ride two to a complex transform: two filter rows, or an epoch's two
-PSD segments, as the real and imaginary parts.
+(the inverse uses conjugate twiddles); fft is its checked 1-D form.
+_trial_rows chains them into one trial's feature rows. Real signals ride two
+to a complex transform: two filter rows, or an epoch's two PSD segments, as
+the real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 
 FS = 512               # recording sample rate, Hz
 EPOCH_SAMPLES = FS     # 1 s epochs
+EPOCHS_PER_TRIAL = 8
+TRIAL_SAMPLES = EPOCHS_PER_TRIAL * EPOCH_SAMPLES
 PSD_BINS = 25          # retained bins 1..25, centers 2..50 Hz at 2 Hz spacing
 PSD_SEGMENT = 256      # FFT window length inside one epoch
 
@@ -111,12 +114,20 @@ class FirFilter:
         return spec
 
 
-def design_bandpass(fs: float, low: float, high: float, taps: int) -> FirFilter:
-    """Windowed-sinc (Hamming) band-pass with half-amplitude points at low/high."""
+def check_bandpass(fs: float, low: float, high: float, taps: int) -> None:
+    """Raises DspError unless design_bandpass can design from these: a band
+    inside (0, fs/2), and an odd tap count of at least 3 and at most the
+    samples of one trial, so the filter is never longer than the signal it
+    filters."""
     if not (0.0 < low < high < fs / 2.0):
         raise DspError(f"invalid band ({low}, {high}) for fs={fs}")
-    if taps < 3 or taps % 2 == 0:
-        raise DspError(f"tap count must be odd and >= 3, got {taps}")
+    if not (3 <= taps <= TRIAL_SAMPLES and taps % 2 == 1):
+        raise DspError(f"tap count must be odd and in [3, {TRIAL_SAMPLES}], got {taps}")
+
+
+def design_bandpass(fs: float, low: float, high: float, taps: int) -> FirFilter:
+    """Windowed-sinc (Hamming) band-pass with half-amplitude points at low/high."""
+    check_bandpass(fs, low, high, taps)
     m = np.arange(taps) - (taps - 1) / 2.0
     window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(taps) / (taps - 1))
 
@@ -186,6 +197,23 @@ def _psd_epoch_rows(epochs: np.ndarray) -> np.ndarray:
     sq = spec.real ** 2 + spec.imag ** 2
     both = sq[..., 1:PSD_BINS + 1] + sq[..., PSD_SEGMENT - 1:PSD_SEGMENT - PSD_BINS - 1:-1]
     return both / (2.0 * FS * _WINDOW_ENERGY)
+
+
+def epoch_trial(samples: np.ndarray) -> np.ndarray:
+    """Split (channels, 4096) samples into (8, channels, 512) contiguous 1 s epochs."""
+    n_ch, n = samples.shape
+    if n != TRIAL_SAMPLES:
+        raise ValueError(f"expected {TRIAL_SAMPLES} samples, got {n}")
+    return samples.reshape(n_ch, EPOCHS_PER_TRIAL, EPOCH_SAMPLES).transpose(1, 0, 2)
+
+
+def _trial_rows(filt: FirFilter, samples: np.ndarray) -> np.ndarray:
+    """One trial's (8, channels * 25) feature rows: the full trial filtered,
+    epoched, and each epoch's per-channel PSD laid out channel-major."""
+    filtered = _filter_rows(filt, np.asarray(samples, dtype=float))
+    epochs = epoch_trial(filtered)  # (8, channels, 512)
+    psd = _psd_epoch_rows(epochs.reshape(-1, EPOCH_SAMPLES))
+    return psd.reshape(EPOCHS_PER_TRIAL, -1)
 
 
 def bin_frequencies() -> np.ndarray:

@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .dataset import (CHANNELS, EPOCHS_PER_TRIAL, EPOCH_SAMPLES, Dataset, fork_map,
-                      write_csv)
+from .dataset import CHANNELS, EPOCHS_PER_TRIAL, Dataset, fork_map, write_csv
 
 N_FEATURES = len(CHANNELS) * dsp.PSD_BINS  # 12 * 25 = 300
 # power scales of the feature values; the first is the default
@@ -42,41 +41,32 @@ def feature_names() -> list:
     return [f"{ch}_{int(f)}Hz" for ch in CHANNELS for f in freqs]
 
 
-def epoch_trial(samples: np.ndarray) -> np.ndarray:
-    """Split (channels, 4096) samples into (8, channels, 512) contiguous 1 s epochs."""
-    n_ch, n = samples.shape
-    if n != EPOCHS_PER_TRIAL * EPOCH_SAMPLES:
-        raise ValueError(f"expected {EPOCHS_PER_TRIAL * EPOCH_SAMPLES} samples, got {n}")
-    return samples.reshape(n_ch, EPOCHS_PER_TRIAL, EPOCH_SAMPLES).transpose(1, 0, 2)
-
-
-def _trial_rows(filt: dsp.FirFilter, samples: np.ndarray) -> np.ndarray:
-    """One trial's (8, 300) feature rows: the full trial filtered, epoched,
-    and each epoch's per-channel PSD laid out channel-major."""
-    filtered = dsp._filter_rows(filt, np.asarray(samples, dtype=float))
-    epochs = epoch_trial(filtered)  # (8, 12, 512)
-    psd = dsp._psd_epoch_rows(epochs.reshape(-1, EPOCH_SAMPLES))
-    return psd.reshape(EPOCHS_PER_TRIAL, len(CHANNELS) * dsp.PSD_BINS)
-
-
 def build_feature_matrix(dataset: Dataset, filt: dsp.FirFilter,
                          scale: str = SCALES[0]) -> FeatureMatrix:
     """Filter each full trial, epoch it, and compute per-channel spectral rows.
 
-    Each trial goes through _trial_rows in dataset.fork_map, so only its rows
-    come back from a worker. Row order is (trial order in the dataset, epoch
-    index). With scale="db" the 300 values are reported as dB (10 log10)
-    rather than linear density.
+    A dataset loaded with this same filter object already holds each trial's
+    rows, made while the trial was read, and they are used as they are; one
+    whose rows were made under another filter is a ValueError. Otherwise each
+    trial's samples go through dsp._trial_rows in dataset.fork_map, so only
+    its rows come back from a worker. Row order is (trial order in the
+    dataset, epoch index). With scale="db" the 300 values are reported as dB
+    (10 log10) rather than linear density.
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
+    if dataset.filt is None:
+        rows = fork_map(lambda samples: dsp._trial_rows(filt, samples),
+                        [trial.samples for trial in dataset.trials])
+    elif dataset.filt is filt:
+        rows = [trial.rows for trial in dataset.trials]
+    else:
+        raise ValueError("the dataset's rows were made under another filter")
     n_trials = len(dataset.trials)
     X = np.empty((n_trials * EPOCHS_PER_TRIAL, N_FEATURES))
     y = np.empty(n_trials * EPOCHS_PER_TRIAL, dtype=int)
     trial_ids = np.empty_like(y)
     epoch_idx = np.empty_like(y)
-    rows = fork_map(lambda samples: _trial_rows(filt, samples),
-                    [trial.samples for trial in dataset.trials])
     for i, trial in enumerate(dataset.trials):
         sl = slice(i * EPOCHS_PER_TRIAL, (i + 1) * EPOCHS_PER_TRIAL)
         X[sl] = rows[i]

@@ -211,7 +211,7 @@ def build_feature_matrix_reference(dataset, filt, scale: str = "linear"):
     epoch_idx = np.empty_like(y)
     for i, trial in enumerate(dataset.trials):
         filtered = dsp._filter_rows(filt, np.asarray(trial.samples, dtype=float))
-        epochs = features.epoch_trial(filtered)  # (8, 12, 512)
+        epochs = dsp.epoch_trial(filtered)  # (8, 12, 512)
         psd = dsp._psd_epoch_rows(epochs.reshape(-1, EPOCH_SAMPLES))
         rows = psd.reshape(EPOCHS_PER_TRIAL, len(CHANNELS) * dsp.PSD_BINS)
         sl = slice(i * EPOCHS_PER_TRIAL, (i + 1) * EPOCHS_PER_TRIAL)

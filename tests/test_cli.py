@@ -87,13 +87,13 @@ class TestExitCodes:
         assert code == 1
         assert "gamma" in err
 
-    def test_even_taps_is_numeric_error(self, tmp_path, capsys, ds_dir):
+    def test_even_taps_is_usage_error(self, tmp_path, capsys, ds_dir):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"filter": {"taps": 1690}}))
         code, _, err = run(["features", manifest(ds_dir), "--config", str(cfg),
                             "--out", str(tmp_path / "o")], capsys)
-        assert code == 3
-        assert "numeric error" in err
+        assert code == 1
+        assert "usage error" in err
 
     def test_bad_threads(self, capsys):
         code, _, _ = run(["synth", "--threads", "0", "--out", "x"], capsys)

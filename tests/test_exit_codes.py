@@ -79,6 +79,11 @@ def _not_utf8_report(ds, tmp):
     return ["report", str(bad), "--out", str(tmp / "o")]
 
 
+def _unwritable_trial_file(ds, tmp):
+    (tmp / "o" / "trial_0003.csv").mkdir(parents=True)
+    return ["synth", "--n-per-side", "3", "--out", str(tmp / "o")]
+
+
 def _out_is_a_file(ds, tmp):
     (tmp / "afile").write_text("")
     return ["features", str(ds / "manifest.json"), "--out", str(tmp / "afile")]
@@ -105,6 +110,14 @@ ROWS = {
     "nul_in_out_path": (lambda ds, tmp: ["synth", "--config",
                                          _json(tmp, {"io": {"output": "a\0b"}})],
                         1, "usage error: io.output must be a string or null, got 'a\\x00b'"),
+    "even_taps": (lambda ds, tmp: ["features", str(ds / "manifest.json"), "--config",
+                                   _json(tmp, {"filter": {"taps": 1690}}),
+                                   "--out", str(tmp / "o")],
+                  1, "usage error: filter: tap count must be odd and in [3, 4096], got 1690"),
+    "inverted_band": (lambda ds, tmp: ["features", str(ds / "manifest.json"), "--config",
+                                       _json(tmp, {"filter": {"low_hz": 50, "high_hz": 1}}),
+                                       "--out", str(tmp / "o")],
+                      1, "usage error: filter: invalid band (50, 1) for fs=512"),
     # README: 2 data error, missing or malformed dataset files and bad labels
     "missing_manifest": (lambda ds, tmp: ["validate", str(tmp / "none.json")],
                          2, "data error: MissingFile: "),
@@ -146,11 +159,10 @@ ROWS = {
     "not_utf8_report": (_not_utf8_report, 2,
                         "data error: BadReport: {tmp}/bad.json: 'utf-8' codec can't decode "
                         "byte 0xff in position 0"),
+    # an OS error reading inputs or writing outputs gives the OS's text
+    "unwritable_trial_file": (_unwritable_trial_file, 2,
+                              "data error: [Errno 21] Is a directory: '{tmp}/o/trial_0003.csv'"),
     # README: 3 numeric error
-    "even_taps": (lambda ds, tmp: ["features", str(ds / "manifest.json"), "--config",
-                                   _json(tmp, {"filter": {"taps": 1690}}),
-                                   "--out", str(tmp / "o")],
-                  3, "numeric error: tap count must be odd and >= 3, got 1690"),
     "constant_features": (lambda zeros, tmp: ["evaluate", str(zeros / "manifest.json"),
                                               "--out", str(tmp / "o")],
                           3, "numeric error: no usable stump: every feature is constant"),

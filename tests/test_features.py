@@ -5,8 +5,9 @@ import pytest
 
 from motorclass import dataset, features
 from motorclass.dataset import LEFT, RIGHT, SynthConfig, generate_synthetic
-from motorclass.features import (apply_scaler, build_feature_matrix, epoch_trial,
-                                 feature_names, fit_scaler, moments, save_features_csv)
+from motorclass.dsp import epoch_trial
+from motorclass.features import (apply_scaler, build_feature_matrix, feature_names, fit_scaler,
+                                 moments, save_features_csv)
 from oracles import direct_fir, periodogram_psd
 
 

@@ -1,8 +1,11 @@
 """load_dataset parses trial files in a pool of forked processes: it must give
 the samples and the first error of the sequential loop kept as
 oracles.load_dataset_reference, on one CPU or several, and no worker may
-outlive the call."""
+outlive the call. Given a filter, the same workers also filter and PSD each
+trial: the feature matrix built from that load must equal the one the
+sequential loops give, bit for bit, and only each trial's rows may come back."""
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -14,10 +17,10 @@ from pathlib import Path
 import pytest
 
 import motorclass
-from motorclass import dataset
+from motorclass import dataset, dsp, features
 from motorclass.dataset import DataError, SynthConfig, generate_synthetic, save_dataset
 from conftest import _RecordingPool
-from oracles import load_dataset_reference
+from oracles import build_feature_matrix_reference, load_dataset_reference
 
 SRC = str(Path(motorclass.__file__).resolve().parents[1])
 
@@ -99,9 +102,9 @@ def _outcome(load, path):
         ds = load(path)
     except Exception as exc:
         return ("error", type(exc), str(exc), getattr(exc, "trial_id", None))
-    return ("ok", ds.subject_id, [(t.trial_id, t.label, t.samples.dtype, t.samples.shape,
-                                   t.samples.flags.c_contiguous, t.samples.tobytes())
-                                  for t in ds.trials])
+    return ("ok", ds.subject_id, ds.filt,
+            [(t.trial_id, t.label, t.samples.dtype, t.samples.shape,
+              t.samples.flags.c_contiguous, t.samples.tobytes(), t.rows) for t in ds.trials])
 
 
 def _cpus(monkeypatch, n):
@@ -116,6 +119,71 @@ def test_matches_sequential_reference(base, tmp_path, monkeypatch, edits, cpus):
     _cpus(monkeypatch, cpus)
     assert _outcome(dataset.load_dataset, path) == expected
     assert expected[0] == ("ok" if not edits else "error")
+
+
+class _SizingPool(_RecordingPool):
+    """Records the pickled size of every result a pool hands back, which is
+    what its workers sent through the pipe."""
+    result_bytes = []
+
+    def map(self, fn, *iterables, **kwargs):
+        for result in super().map(fn, *iterables, **kwargs):
+            self.result_bytes.append(len(pickle.dumps(result)))
+            yield result
+
+
+def _fm_outcome(build):
+    """What a feature-matrix build gives: its arrays' bytes, or the error's
+    type, message and trial id."""
+    try:
+        fms = build()
+    except Exception as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "trial_id", None))
+    return ("ok", [[(a.dtype, a.shape, a.tobytes()) for a in (fm.X, fm.y, fm.trial_ids, fm.epochs)]
+                   for fm in fms])
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
+@pytest.mark.parametrize("edits", CASES.values(), ids=CASES.keys())
+def test_fused_load_matches_sequential_reference(base, bp_filter, tmp_path, pool_on, edits,
+                                                 cpus):
+    path = _manifest(base, tmp_path, edits)
+
+    def reference():
+        ds = load_dataset_reference(path)
+        return [build_feature_matrix_reference(ds, bp_filter, scale) for scale in features.SCALES]
+
+    def fused():
+        ds = dataset.load_dataset(path, bp_filter)
+        return [features.build_feature_matrix(ds, bp_filter, scale) for scale in features.SCALES]
+
+    expected = _fm_outcome(reference)
+    pool_on(cpus)
+    assert _fm_outcome(fused) == expected
+    assert expected[0] == ("ok" if not edits else "error")
+    # one pool per load and build, none on one CPU
+    assert _RecordingPool.sizes in ([], [2] if cpus == 2 else [])
+    assert multiprocessing.active_children() == []
+
+
+def test_fused_trials_send_back_rows_only(base, bp_filter, pool_on, monkeypatch):
+    pool_on(2)
+    monkeypatch.setattr(_SizingPool, "result_bytes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SizingPool)
+    ds = dataset.load_dataset(base / "manifest.json", bp_filter)
+    assert ds.filt is bp_filter
+    assert all(t.samples is None for t in ds.trials)
+    assert {t.rows.shape for t in ds.trials} == {(dataset.EPOCHS_PER_TRIAL, features.N_FEATURES)}
+    # a trial's samples are 393,216 bytes and its rows 19,200
+    assert len(_SizingPool.result_bytes) == 6
+    assert max(_SizingPool.result_bytes) < 2 * ds.trials[0].rows.nbytes
+
+
+def test_rows_are_not_reused_under_another_filter(base, bp_filter):
+    ds = dataset.load_dataset(base / "manifest.json", bp_filter)
+    narrow = dsp.design_bandpass(dataset.FS, 8.0, 30.0, 1691)
+    with pytest.raises(ValueError, match="made under another filter"):
+        features.build_feature_matrix(ds, narrow)
 
 
 def test_reference_reads_the_saved_samples(base):
