@@ -43,6 +43,15 @@ CHOICES = {
     ("fusion", "ranking_source"): evaluation.RANKING_SOURCES,
 }
 
+# the call that builds each of these sections from its keys as keyword
+# arguments, for _validate_config and the commands; dsp.design_bandpass is
+# looked up per call, so a wrapper put on it sees every design
+BUILDERS = {
+    "filter": lambda **keys: dsp.design_bandpass(dataset.FS, **keys),
+    "train": classifiers.TrainConfig,
+    "synth": dataset.SynthConfig,
+}
+
 # what a key takes, by the type of its default: no key takes a bool, NaN or
 # Infinity, every integer setting is a count or a seed, so >= 0, and a path
 # holds no NUL byte
@@ -95,6 +104,10 @@ def _merge_config(path) -> dict:
     return cfg
 
 
+def _build(cfg: dict, section: str):
+    return BUILDERS[section](**cfg[section])
+
+
 def _validate_config(cfg: dict) -> None:
     for section, keys in DEFAULTS.items():
         for key, default in keys.items():
@@ -107,13 +120,9 @@ def _validate_config(cfg: dict) -> None:
             raise UsageError(f"{section}.{key} must be one of {', '.join(choices)}")
     if not 0.0 <= cfg["stats"]["alpha"] <= 1.0:
         raise UsageError("stats.alpha must be in [0, 1]")
-    # a section is checked by building from it; the filter's check builds nothing
-    checks = (("filter", lambda low_hz, high_hz, taps:
-               dsp.check_bandpass(dataset.FS, low_hz, high_hz, taps)),
-              ("train", classifiers.TrainConfig), ("synth", dataset.SynthConfig))
-    for section, build in checks:
+    for section in BUILDERS:
         try:
-            build(**cfg[section])
+            _build(cfg, section)
         except ValueError as exc:
             raise UsageError(f"{section}: {exc}") from exc
 
@@ -152,15 +161,14 @@ def _require_input(args, cfg) -> Path:
     return Path(manifest)
 
 
-def _filter_from(cfg: dict) -> dsp.FirFilter:
-    f = cfg["filter"]
-    return dsp.design_bandpass(dataset.FS, f["low_hz"], f["high_hz"], f["taps"])
+def _load(args, cfg) -> dataset.Dataset:
+    """The input dataset, featurized under the filter section as it is read."""
+    return dataset.load_dataset(_require_input(args, cfg), _build(cfg, "filter"))
 
 
-def _feature_matrix(cfg: dict, manifest: Path, scale: str) -> features.FeatureMatrix:
-    filt = _filter_from(cfg)
-    return features.build_feature_matrix(dataset.load_dataset(manifest, filt), filt,
-                                         scale=scale)
+def _feature_matrix(args, cfg, scale: str) -> features.FeatureMatrix:
+    ds = _load(args, cfg)
+    return features.build_feature_matrix(ds, ds.filt, scale=scale)
 
 
 def _parse_kinds(text):
@@ -179,7 +187,7 @@ def _parse_kinds(text):
 
 
 def cmd_synth(args, cfg, out) -> None:
-    ds = dataset.generate_synthetic(dataset.SynthConfig(**cfg["synth"]))
+    ds = dataset.generate_synthetic(_build(cfg, "synth"))
     print(dataset.save_dataset(ds, out))
 
 
@@ -191,7 +199,7 @@ def cmd_validate(args, cfg, out) -> None:
     flagged = 0
     if args.amplitude_check:
         for trial in ds.trials:
-            epochs = dsp.epoch_trial(np.asarray(trial.samples, dtype=float))
+            epochs = dsp.epoch_trial(trial.samples)
             flagged += int((np.abs(epochs).max(axis=(1, 2)) > args.amplitude_threshold).sum())
     msg = (f"ok: {len(ds.trials)} trials ({ds.count(dataset.RIGHT)} right, "
            f"{ds.count(dataset.LEFT)} left), {len(dataset.CHANNELS)} channels, fs={dataset.FS}")
@@ -201,13 +209,13 @@ def cmd_validate(args, cfg, out) -> None:
 
 
 def cmd_features(args, cfg, out) -> None:
-    fm = _feature_matrix(cfg, _require_input(args, cfg), cfg["features"]["scale"])
+    fm = _feature_matrix(args, cfg, cfg["features"]["scale"])
     print(features.save_features_csv(fm, out / "features.csv"))
 
 
 def _significance(args, cfg):
     # stats always run on linear power: the difference map is in density units
-    fm = _feature_matrix(cfg, _require_input(args, cfg), "linear")
+    fm = _feature_matrix(args, cfg, "linear")
     return stats.significance_map(fm, alpha=cfg["stats"]["alpha"],
                                   level=cfg["stats"]["level"])
 
@@ -228,13 +236,11 @@ def cmd_bands(args, cfg, out) -> None:
 
 
 def cmd_evaluate(args, cfg, out) -> None:
-    filt = _filter_from(cfg)
-    ds = dataset.load_dataset(_require_input(args, cfg), filt)
-    kinds = _parse_kinds(args.classifiers)
+    ds = _load(args, cfg)
     report = evaluation.run_cv(
-        ds, classifiers.TrainConfig(**cfg["train"]), seed=cfg["cv"]["seed"], kinds=kinds,
+        ds, _build(cfg, "train"), seed=cfg["cv"]["seed"], kinds=_parse_kinds(args.classifiers),
         ranking_source=cfg["fusion"]["ranking_source"], scale=cfg["features"]["scale"],
-        granularity=cfg["cv"]["granularity"], filt=filt)
+        granularity=cfg["cv"]["granularity"])
     report["config"] = cfg
     dataset.write_json(out / "report.json", report)
     evaluation.report_to_csv(report, out / "report.csv")

@@ -307,8 +307,13 @@ def _read_trial(entry) -> Trial:
     return Trial(trial_id=tid, label=label, samples=np.ascontiguousarray(table.T))
 
 
-# (fn, items) of the fork_map call in progress; its forked workers inherit it
+# (fn, items) of the fork_map call a worker serves; set in each worker only
 _JOB = None
+
+
+def _set_job(fn, items):
+    global _JOB
+    _JOB = (fn, items)
 
 
 def _run_job(i):
@@ -324,28 +329,22 @@ def fork_map(fn, items) -> list:
     quarter of each worker's share, as multiprocessing.Pool.map sends them,
     because one task per item costs the parent a wake-up per result.
 
-    Neither fn nor the items are pickled, so fn may be a closure: the pair is
-    put in _JOB before the pool forks its workers, which inherit it and are
-    sent item indices; only the results cross the pipe. The helper is
-    therefore not re-entrant: fn must not call fork_map, and only one thread
-    at a time may call it. The pool modules are imported here because
-    importing them would slow every command's start-up. Workers are forked,
-    not spawned, so they do not import numpy and the package again; fn must
-    call no BLAS routine, and the pool forks all its workers before it
-    starts its own thread."""
-    global _JOB
+    Neither fn nor the items are pickled, so fn may be a closure: each forked
+    worker inherits the pair as its initializer's arguments, puts it in its
+    own _JOB, and is sent item indices; only the results cross the pipe. The
+    pool modules are imported here because importing them would slow every
+    command's start-up. Workers are forked, not spawned, so they do not
+    import numpy and the package again; fn must call no BLAS routine, and the
+    pool forks all its workers before it starts its own thread."""
     workers = min(len(os.sched_getaffinity(0)), len(items))
     if workers < 2:
         return list(map(fn, items))
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    _JOB = (fn, items)
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(_run_job, range(len(items)),
-                                 chunksize=-(-len(items) // (4 * workers))))
-    finally:
-        _JOB = None
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_job, initargs=(fn, items)) as pool:
+        return list(pool.map(_run_job, range(len(items)),
+                             chunksize=-(-len(items) // (4 * workers))))
 
 
 def load_dataset(manifest_path, filt: dsp.FirFilter | None = None) -> Dataset:

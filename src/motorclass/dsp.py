@@ -114,27 +114,22 @@ class FirFilter:
         return spec
 
 
-def check_bandpass(fs: float, low: float, high: float, taps: int) -> None:
-    """Raises DspError unless design_bandpass can design from these: a band
-    inside (0, fs/2), and an odd tap count of at least 3 and at most the
-    samples of one trial, so the filter is never longer than the signal it
-    filters."""
-    if not (0.0 < low < high < fs / 2.0):
-        raise DspError(f"invalid band ({low}, {high}) for fs={fs}")
+def design_bandpass(fs: float, low_hz: float, high_hz: float, taps: int) -> FirFilter:
+    """Windowed-sinc (Hamming) band-pass with half-amplitude points at low_hz
+    and high_hz. Raises DspError unless the band lies inside (0, fs/2) and
+    taps is odd, at least 3 and at most the samples of one trial, so the
+    filter is never longer than the signal it filters."""
+    if not (0.0 < low_hz < high_hz < fs / 2.0):
+        raise DspError(f"invalid band ({low_hz}, {high_hz}) for fs={fs}")
     if not (3 <= taps <= TRIAL_SAMPLES and taps % 2 == 1):
         raise DspError(f"tap count must be odd and in [3, {TRIAL_SAMPLES}], got {taps}")
-
-
-def design_bandpass(fs: float, low: float, high: float, taps: int) -> FirFilter:
-    """Windowed-sinc (Hamming) band-pass with half-amplitude points at low/high."""
-    check_bandpass(fs, low, high, taps)
     m = np.arange(taps) - (taps - 1) / 2.0
     window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(taps) / (taps - 1))
 
     def lowpass(fc):
         return (2.0 * fc / fs) * np.sinc(2.0 * fc * m / fs)
 
-    h = (lowpass(high) - lowpass(low)) * window
+    h = (lowpass(high_hz) - lowpass(low_hz)) * window
     return FirFilter(taps=h)
 
 

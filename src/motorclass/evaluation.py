@@ -97,18 +97,17 @@ def _confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
 
 def run_cv(dataset: Dataset, cfg: classifiers.TrainConfig, seed: int,
            kinds=None, ranking_source: str = RANKING_SOURCES[0],
-           scale: str = features.SCALES[0], granularity: str = GRANULARITIES[0],
-           filt: dsp.FirFilter | None = None) -> dict:
+           scale: str = features.SCALES[0], granularity: str = GRANULARITIES[0]) -> dict:
     """Full cross-validated evaluation of the requested models (default all
     five); returns the report as a plain dict. Folds split trials, or epoch
-    rows with granularity="epoch"; filt=None is DEFAULT_FILTER."""
+    rows with granularity="epoch"; features use dataset.filt or DEFAULT_FILTER."""
     if ranking_source not in RANKING_SOURCES:
         raise ValueError(f"ranking_source must be one of {RANKING_SOURCES}, got {ranking_source!r}")
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
     kinds = classifiers.MODEL_KINDS if kinds is None else tuple(kinds)
     fm = features.build_feature_matrix(
-        dataset, filt or dsp.design_bandpass(FS, *DEFAULT_FILTER), scale=scale)
+        dataset, dataset.filt or dsp.design_bandpass(FS, *DEFAULT_FILTER), scale=scale)
 
     # folds and calibration holdouts are drawn per unit, then broadcast to rows
     units = fm.trial_ids if granularity == "trial" else np.arange(fm.n_rows)

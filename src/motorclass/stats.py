@@ -30,7 +30,6 @@ class TTestResult:
     t: float
     df: int
     p: float
-    n: int
 
 
 @dataclass
@@ -127,11 +126,11 @@ def paired_t(x, y) -> TTestResult:
     mean, sd, _ = scaled_moments(d, ddof=1)
     if sd == 0.0:
         if mean == 0.0:
-            return TTestResult(t=0.0, df=n - 1, p=1.0, n=n)
+            return TTestResult(t=0.0, df=n - 1, p=1.0)
         t = math.inf if mean > 0 else -math.inf
-        return TTestResult(t=t, df=n - 1, p=0.0, n=n)
+        return TTestResult(t=t, df=n - 1, p=0.0)
     t = mean / (sd / math.sqrt(n))
-    return TTestResult(t=t, df=n - 1, p=t_pvalue(t, n - 1), n=n)
+    return TTestResult(t=t, df=n - 1, p=t_pvalue(t, n - 1))
 
 
 def _ordered_rows(fm: FeatureMatrix, label: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from motorclass import cli, evaluation, features, stats
+from motorclass import classifiers, cli, dataset, dsp, evaluation, features, stats
 
 
 def run(argv, capsys):
@@ -380,6 +380,39 @@ class TestEvaluate:
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["cv"]["granularity"] == "epoch"
         assert report["config"]["fusion"]["ranking_source"] == "train"
+
+
+class TestFilterSection:
+    """A valid non-default filter section sets the filter every feature is made under."""
+
+    FILTER = {"low_hz": 8, "high_hz": 30, "taps": 1001}
+
+    def _config(self, tmp_path):
+        path = tmp_path / "filter.json"
+        path.write_text(json.dumps({"filter": self.FILTER}))
+        return str(path)
+
+    def test_features(self, ds_dir, tmp_path, capsys):
+        out = tmp_path / "feat"
+        code, _, _ = run(["features", manifest(ds_dir), "--config", self._config(tmp_path),
+                          "--out", str(out)], capsys)
+        assert code == 0
+        fm = features.build_feature_matrix(dataset.load_dataset(manifest(ds_dir)),
+                                           dsp.design_bandpass(dataset.FS, **self.FILTER))
+        expected = features.save_features_csv(fm, tmp_path / "expected.csv")
+        assert (out / "features.csv").read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("flags,scale", [([], "linear"), (["--scale", "db"], "db")])
+    def test_evaluate(self, ds_dir, tmp_path, capsys, flags, scale):
+        out = tmp_path / "eval"
+        code, _, _ = run(["evaluate", manifest(ds_dir), "--config", self._config(tmp_path),
+                          "--out", str(out), *flags], capsys)
+        assert code == 0
+        filt = dsp.design_bandpass(dataset.FS, **self.FILTER)
+        ds = dataset.load_dataset(manifest(ds_dir), filt)
+        expected = evaluation.run_cv(ds, classifiers.TrainConfig(), seed=0, scale=scale)
+        report = json.loads((out / "report.json").read_text())
+        assert report["classifiers"] == json.loads(json.dumps(expected["classifiers"]))
 
 
 class TestManifestEntries:
