@@ -5,7 +5,6 @@ report. JSON config with flag overrides; exit codes 0 ok, 1 usage, 2 data,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import dataclasses
 import json
@@ -139,31 +138,20 @@ def _apply_overrides(cfg: dict, args) -> None:
             cfg[section]["seed"] = args.seed
 
 
-def _require_out(args, cfg, made: list) -> Path:
-    """The output directory, created if missing; the directories this creates
-    are appended to made, deepest first."""
+def _require_out(args, cfg) -> Path:
+    """The output directory, which the writers make at the command's first write."""
     out = args.out or cfg["io"]["output"]
     if out is None:
         raise UsageError("an output directory is required (--out or config io.output)")
     out = Path(out)
-    made.extend(p for p in (out, *out.parents) if not p.exists())
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise UsageError(f"output directory {out} is not a directory") from exc
+    if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+        raise UsageError(f"output directory {out} is not a directory")
     return out
-
-
-def _require_input(args, cfg) -> Path:
-    manifest = getattr(args, "manifest", None) or cfg["io"]["input"]
-    if manifest is None:
-        raise UsageError("an input manifest is required (positional or config io.input)")
-    return Path(manifest)
 
 
 def _load(args, cfg) -> dataset.Dataset:
     """The input dataset, featurized under the filter section as it is read."""
-    return dataset.load_dataset(_require_input(args, cfg), _build(cfg, "filter"))
+    return dataset.load_dataset(args.manifest, _build(cfg, "filter"))
 
 
 def _feature_matrix(args, cfg, scale: str) -> features.FeatureMatrix:
@@ -172,8 +160,6 @@ def _feature_matrix(args, cfg, scale: str) -> features.FeatureMatrix:
 
 
 def _parse_kinds(text):
-    if text is None:
-        return None
     kinds = []
     for token in text.split(","):
         token = token.strip().lower()
@@ -192,19 +178,14 @@ def cmd_synth(args, cfg, out) -> None:
 
 
 def cmd_validate(args, cfg, out) -> None:
-    if not 0.0 < args.amplitude_threshold < np.inf:
-        raise UsageError(f"--amplitude-threshold must be a finite number > 0, "
-                         f"got {args.amplitude_threshold!r}")
-    ds = dataset.load_dataset(_require_input(args, cfg))
-    flagged = 0
-    if args.amplitude_check:
-        for trial in ds.trials:
-            epochs = dsp.epoch_trial(trial.samples)
-            flagged += int((np.abs(epochs).max(axis=(1, 2)) > args.amplitude_threshold).sum())
+    ds = dataset.load_dataset(args.manifest)
     msg = (f"ok: {len(ds.trials)} trials ({ds.count(dataset.RIGHT)} right, "
            f"{ds.count(dataset.LEFT)} left), {len(dataset.CHANNELS)} channels, fs={dataset.FS}")
     if args.amplitude_check:
-        msg += f", {flagged} epoch(s) above {args.amplitude_threshold:g} uV"
+        limit = args.amplitude_threshold or 200.0   # uV
+        flagged = sum(int((np.abs(dsp.epoch_trial(trial.samples)).max(axis=(1, 2)) > limit).sum())
+                      for trial in ds.trials)
+        msg += f", {flagged} epoch(s) above {limit:g} uV"
     print(msg)
 
 
@@ -238,7 +219,7 @@ def cmd_bands(args, cfg, out) -> None:
 def cmd_evaluate(args, cfg, out) -> None:
     ds = _load(args, cfg)
     report = evaluation.run_cv(
-        ds, _build(cfg, "train"), seed=cfg["cv"]["seed"], kinds=_parse_kinds(args.classifiers),
+        ds, _build(cfg, "train"), seed=cfg["cv"]["seed"], kinds=args.classifiers,
         ranking_source=cfg["fusion"]["ranking_source"], scale=cfg["features"]["scale"],
         granularity=cfg["cv"]["granularity"])
     report["config"] = cfg
@@ -257,8 +238,8 @@ def cmd_report(args, cfg, out) -> None:
     print(evaluation.format_table(combined))
 
 
-# a command gets the checked config and the prepared --out directory (None for
-# validate, which writes nothing); main writes effective_config.json after it
+# a command gets args and the config, both checked, and --out (None for validate,
+# which writes nothing); main writes effective_config.json after it
 COMMANDS = {
     "synth": cmd_synth,
     "validate": cmd_validate,
@@ -293,7 +274,8 @@ def build_parser() -> _Parser:
     p.add_argument("manifest", nargs="?", type=Path)
     p.add_argument("--amplitude-check", action="store_true",
                    help="also flag epochs exceeding the amplitude threshold")
-    p.add_argument("--amplitude-threshold", type=float, default=200.0)
+    p.add_argument("--amplitude-threshold", type=float,
+                   help="with --amplitude-check, in uV (default 200)")
 
     p = sub.add_parser("features", parents=[common], help="export the feature matrix CSV")
     p.add_argument("manifest", nargs="?", type=Path)
@@ -308,7 +290,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", parents=[common], help="cross-validated evaluation")
     p.add_argument("manifest", nargs="?", type=Path)
-    p.add_argument("--classifiers", help="comma-separated subset (svm,knn,nb,boosting,lda)")
+    p.add_argument("--classifiers", type=_parse_kinds,
+                   help="comma-separated subset (svm,knn,nb,boosting,lda)")
     p.add_argument("--ranking", choices=CHOICES["fusion", "ranking_source"],
                    dest="fusion.ranking_source")
     p.add_argument("--granularity", choices=CHOICES["cv", "granularity"],
@@ -322,30 +305,26 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    made, code = [], None
+    """One pass: every usage check (flags, config, input manifest, --out) before
+    any input is read, then the command."""
     try:
-        code = _run(argv, made)
-        return code
-    finally:
-        if code != EXIT_OK:
-            # a command that failed, or raised, leaves no output directory it
-            # created, if still empty
-            for path in made:
-                with contextlib.suppress(OSError):
-                    path.rmdir()
-
-
-def _run(argv, made: list) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required "
                              f"(one of: {', '.join(sorted(COMMANDS))})")
         cfg = _merge_config(args.config)
         _apply_overrides(cfg, args)
         _validate_config(cfg)
-        out = None if args.command == "validate" else _require_out(args, cfg, made)
+        limit = getattr(args, "amplitude_threshold", None)
+        if limit is not None and not args.amplitude_check:
+            raise UsageError("--amplitude-threshold is used only with --amplitude-check")
+        if limit is not None and not 0.0 < limit < np.inf:
+            raise UsageError(f"--amplitude-threshold must be a finite number > 0, got {limit!r}")
+        if "manifest" in args:
+            args.manifest = args.manifest or cfg["io"]["input"]
+            if args.manifest is None:
+                raise UsageError("an input manifest is required (positional or config io.input)")
+        out = None if args.command == "validate" else _require_out(args, cfg)
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"warning: {message}",
                                                             file=sys.stderr)

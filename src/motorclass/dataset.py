@@ -203,9 +203,10 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
 
 def write_csv(path, header, fmt, rows) -> Path:
     """The package's one CSV writer: the header names joined by commas, then
-    one line per row, ",".join(fmt) % tuple(row). rows is consumed once, so
-    a generator keeps one row in memory at a time."""
+    one line per row, ",".join(fmt) % tuple(row). rows is consumed once, so a
+    generator keeps one row in memory; missing directories above path are made."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     line = ",".join(fmt) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -214,8 +215,10 @@ def write_csv(path, header, fmt, rows) -> Path:
 
 
 def write_json(path, obj) -> Path:
-    """The package's one JSON writer: indented by 2, keys sorted, newline-terminated."""
+    """The package's one JSON writer: indented by 2, keys sorted, newline-terminated;
+    missing directories above path are made."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -239,7 +242,6 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
     files for later trials may exist where the loop would not have written
     them."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     names = fork_map(lambda trial: _write_trial(out, trial), dataset.trials)
     entries = [{"trial_id": trial.trial_id, "label": trial.label, "file": name}
                for trial, name in zip(dataset.trials, names)]

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file outputs, config plumbing, and the
 end-to-end pipeline on a small synthetic dataset."""
 
+import ast
 import contextlib
 import csv
 import inspect
@@ -636,6 +637,42 @@ class TestFailedCommandOut:
         code, _, _ = run(argv, capsys)
         assert code == expected
         assert out.is_dir()
+
+
+class TestCheckFirst:
+    """Every usage error is found before any input is read, and --out is made
+    only by the command's first write."""
+
+    def test_bad_classifier_reads_nothing(self, ds_dir, tmp_path, capsys, monkeypatch):
+        calls = []
+        load = dataset.load_dataset
+        monkeypatch.setattr(dataset, "load_dataset",
+                            lambda *a, **k: calls.append(a) or load(*a, **k))
+        code, _, err = run(["evaluate", manifest(ds_dir), "--classifiers", "bogus",
+                            "--out", str(tmp_path / "o")], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("usage error: unknown classifier 'bogus'")
+        assert calls == []
+
+    def test_missing_manifest_never_makes_out(self, tmp_path, capsys, monkeypatch):
+        new, seen = tmp_path / "new", []
+        load = dataset.load_dataset
+        monkeypatch.setattr(dataset, "load_dataset",
+                            lambda *a, **k: seen.append(new.exists()) or load(*a, **k))
+        code, _, err = run(["ttest", str(tmp_path / "missing.json"),
+                            "--out", str(new / "o")], capsys)
+        assert code == cli.EXIT_DATA
+        assert err.startswith("data error: MissingFile")
+        assert seen == [False]
+        assert not new.exists()
+
+    def test_no_command_raises_usage_error(self):
+        tree = ast.parse(inspect.getsource(cli))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+                names = {getattr(n, "id", None) or getattr(n, "attr", None)
+                         for n in ast.walk(node)}
+                assert "UsageError" not in names, node.name
 
 
 class TestConfigSchema:

@@ -107,6 +107,14 @@ ROWS = {
                                           "--out", str(tmp / "o")],
                          1, "usage error: cv.seed must be an integer"),
     "out_is_a_file": (_out_is_a_file, 1, "usage error: output directory "),
+    "bad_classifier_missing_manifest": (lambda ds, tmp: ["evaluate", str(tmp / "none.json"),
+                                                         "--classifiers", "bogus",
+                                                         "--out", str(tmp / "o")],
+                                        1, "usage error: unknown classifier 'bogus'"),
+    "threshold_without_check": (lambda ds, tmp: ["validate", str(ds / "manifest.json"),
+                                                 "--amplitude-threshold", "5"],
+                                1, "usage error: --amplitude-threshold is used only with "
+                                   "--amplitude-check"),
     "nul_in_out_path": (lambda ds, tmp: ["synth", "--config",
                                          _json(tmp, {"io": {"output": "a\0b"}})],
                         1, "usage error: io.output must be a string or null, got 'a\\x00b'"),
