@@ -1,6 +1,5 @@
-"""Command-line front end: synth, validate, features, ttest, bands, evaluate,
-report. JSON config with flag overrides; exit codes 0 ok, 1 usage, 2 data,
-3 numeric."""
+"""Command-line front end: synth, validate, features, ttest, evaluate, report.
+JSON config with flag overrides; exit codes 0 ok, 1 usage, 2 data, 3 numeric."""
 
 from __future__ import annotations
 
@@ -133,7 +132,7 @@ def _apply_overrides(cfg: dict, args) -> None:
         if "." in dest and value is not None:
             section, key = dest.split(".")
             cfg[section][key] = value
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         for section in ("synth", "cv", "train"):
             cfg[section]["seed"] = args.seed
 
@@ -194,26 +193,16 @@ def cmd_features(args, cfg, out) -> None:
     print(features.save_features_csv(fm, out / "features.csv"))
 
 
-def _significance(args, cfg):
-    # stats always run on linear power: the difference map is in density units
-    fm = _feature_matrix(args, cfg, "linear")
-    return stats.significance_map(fm, alpha=cfg["stats"]["alpha"],
-                                  level=cfg["stats"]["level"])
-
-
 def cmd_ttest(args, cfg, out) -> None:
-    smap = _significance(args, cfg)
+    # stats always run on linear power: the difference map is in density units
+    smap = stats.significance_map(_feature_matrix(args, cfg, "linear"),
+                                  alpha=cfg["stats"]["alpha"], level=cfg["stats"]["level"])
     stats.save_map_csv(smap, out / "ttest_map.csv")
     stats.save_band_csv(stats.band_aggregate(smap), out / "ttest_bands.csv")
     stats.save_psd_curves_csv(smap, out / "psd_curves.csv")
     frac = float(smap.significant.mean())
     print(f"significant cells: {int(smap.significant.sum())}/{smap.significant.size} "
           f"({100.0 * frac:.1f}%) at alpha={smap.alpha:g}")
-
-
-def cmd_bands(args, cfg, out) -> None:
-    smap = _significance(args, cfg)
-    print(stats.save_band_csv(stats.band_aggregate(smap), out / "bands.csv"))
 
 
 def cmd_evaluate(args, cfg, out) -> None:
@@ -239,29 +228,33 @@ def cmd_report(args, cfg, out) -> None:
 
 
 # a command gets args and the config, both checked, and --out (None for validate,
-# which writes nothing); main writes effective_config.json after it
+# which takes no --out); main writes effective_config.json after it
 COMMANDS = {
     "synth": cmd_synth,
     "validate": cmd_validate,
     "features": cmd_features,
     "ttest": cmd_ttest,
-    "bands": cmd_bands,
     "evaluate": cmd_evaluate,
     "report": cmd_report,
 }
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", type=Path, help="JSON config file")
-    common.add_argument("--seed", type=int, help="override the command's seed")
-    common.add_argument("--out", type=Path, help="output directory")
+    # every command takes --config, every one that writes --out, and the two
+    # that draw random numbers --seed
+    config = _Parser(add_help=False)
+    config.add_argument("--config", type=Path, help="JSON config file")
+    writes = _Parser(add_help=False, parents=[config])
+    writes.add_argument("--out", type=Path, help="output directory")
+    seeded = _Parser(add_help=False, parents=[writes])
+    seeded.add_argument("--seed", type=int,
+                        help="set the generator, fold and training seeds at once")
 
     parser = _Parser(prog="motorclass",
                      description="EEG motor-attempt classification pipeline")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset")
+    p = sub.add_parser("synth", parents=[seeded], help="generate a synthetic dataset")
     p.add_argument("--n-per-side", type=int, dest="synth.n_trials_per_side")
     p.add_argument("--asymmetry-db", type=float, dest="synth.asymmetry_db")
     p.add_argument("--band", choices=sorted(dataset.GEN_BAND_HZ), dest="synth.target_band")
@@ -270,25 +263,23 @@ def build_parser() -> _Parser:
                    help="comma-separated target channels")
     p.add_argument("--noise-exponent", type=float, dest="synth.noise_model")
 
-    p = sub.add_parser("validate", parents=[common], help="validate a dataset manifest")
+    p = sub.add_parser("validate", parents=[config], help="validate a dataset manifest")
     p.add_argument("manifest", nargs="?", type=Path)
     p.add_argument("--amplitude-check", action="store_true",
                    help="also flag epochs exceeding the amplitude threshold")
     p.add_argument("--amplitude-threshold", type=float,
                    help="with --amplitude-check, in uV (default 200)")
 
-    p = sub.add_parser("features", parents=[common], help="export the feature matrix CSV")
+    p = sub.add_parser("features", parents=[writes], help="export the feature matrix CSV")
     p.add_argument("manifest", nargs="?", type=Path)
     p.add_argument("--scale", choices=CHOICES["features", "scale"], dest="features.scale")
 
-    for name, help_text in (("ttest", "per-(channel,bin) paired t-test CSVs"),
-                            ("bands", "band-aggregated difference CSV")):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("manifest", nargs="?", type=Path)
-        p.add_argument("--alpha", type=float, dest="stats.alpha")
-        p.add_argument("--level", choices=CHOICES["stats", "level"], dest="stats.level")
+    p = sub.add_parser("ttest", parents=[writes], help="per-(channel,bin) paired t-test CSVs")
+    p.add_argument("manifest", nargs="?", type=Path)
+    p.add_argument("--alpha", type=float, dest="stats.alpha")
+    p.add_argument("--level", choices=CHOICES["stats", "level"], dest="stats.level")
 
-    p = sub.add_parser("evaluate", parents=[common], help="cross-validated evaluation")
+    p = sub.add_parser("evaluate", parents=[seeded], help="cross-validated evaluation")
     p.add_argument("manifest", nargs="?", type=Path)
     p.add_argument("--classifiers", type=_parse_kinds,
                    help="comma-separated subset (svm,knn,nb,boosting,lda)")
@@ -298,7 +289,7 @@ def build_parser() -> _Parser:
                    dest="cv.granularity", help="fold granularity")
     p.add_argument("--scale", choices=CHOICES["features", "scale"], dest="features.scale")
 
-    p = sub.add_parser("report", parents=[common], help="combine evaluation reports")
+    p = sub.add_parser("report", parents=[writes], help="combine evaluation reports")
     p.add_argument("reports", nargs="+", type=Path)
 
     return parser
@@ -324,7 +315,7 @@ def main(argv=None) -> int:
             args.manifest = args.manifest or cfg["io"]["input"]
             if args.manifest is None:
                 raise UsageError("an input manifest is required (positional or config io.input)")
-        out = None if args.command == "validate" else _require_out(args, cfg)
+        out = _require_out(args, cfg) if "out" in args else None
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"warning: {message}",
                                                             file=sys.stderr)

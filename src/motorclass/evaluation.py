@@ -139,25 +139,27 @@ def run_cv(dataset: Dataset, cfg: classifiers.TrainConfig, seed: int,
 
 
 def _score_fold(X_train, y_train, X_test, y_test, calib, cfg, kinds) -> dict:
-    """One fold: fit the scaler on training rows only, train the models, rank
-    them for the rule ensemble on the calibration rows calib marks (or on
-    training accuracy if calib is None) after a refit on the other training
-    rows, then score the held-out rows with the models of the whole training
-    fold. Returns {kind: ConfusionMatrix}, plus "Rule" with >= 3 kinds."""
+    """One fold, from two fits that share nothing. The outer fit (scaler and
+    models on the whole training fold) predicts each held-out row once per
+    model. With >= 3 kinds, an inner fit on the training rows calib does not
+    mark ranks the models on the rows it does mark; with calib None the outer
+    models rank on their own training rows. The Rule row is the rule_votes of
+    the top three's outer predictions. Returns {kind: ConfusionMatrix}, plus
+    "Rule" with >= 3 kinds."""
     scaler, Z_train, models = _fit(X_train, y_train, cfg, kinds)
     Z_test = features.apply_scaler(scaler, X_test)
-    cms = {kind: _confusion(y_test, classifiers.predict(models[kind], Z_test))
-           for kind in kinds}
+    preds = {kind: classifiers.predict(models[kind], Z_test) for kind in kinds}
+    cms = {kind: _confusion(y_test, preds[kind]) for kind in kinds}
     if len(kinds) < 3:
         return cms
     if calib is None:
         ensemble = fusion.rank_models(models, Z_train, y_train)
     else:
         inner_scaler, _, inner_models = _fit(X_train[~calib], y_train[~calib], cfg, kinds)
-        ensemble = fusion.replace_models(fusion.rank_models(
-            inner_models, features.apply_scaler(inner_scaler, X_train[calib]),
-            y_train[calib]), models)
-    cms["Rule"] = _confusion(y_test, fusion.rule_predict(ensemble, Z_test))
+        ensemble = fusion.rank_models(inner_models, features.apply_scaler(
+            inner_scaler, X_train[calib]), y_train[calib])
+    cms["Rule"] = _confusion(y_test, fusion.rule_votes(
+        *(preds[kind] for kind in ensemble.ranked_kinds)))
     return cms
 
 

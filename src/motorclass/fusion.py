@@ -1,10 +1,10 @@
 """Rule-based fusion: rank trained models by calibration accuracy, keep the
-top three, and combine their votes with the fixed positive-gated rule
-(1st positive AND (2nd OR 3rd positive))."""
+top three, and combine the labels they predict with the fixed positive-gated
+rule (1st positive AND (2nd OR 3rd positive))."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,20 +40,19 @@ def rank_models(models: dict, calib_X, calib_y) -> RuleEnsemble:
                         calibration_accuracy=acc)
 
 
-def replace_models(ensemble: RuleEnsemble, models: dict) -> RuleEnsemble:
-    """Same ranking, different fitted models (used to refit on the full
-    training fold after ranking on the inner holdout)."""
-    return replace(ensemble, ranked=[models[k] for k in ensemble.ranked_kinds])
+def rule_votes(first, second, third):
+    """Positive iff the 1st-ranked model's label is positive and at least one
+    of the 2nd's and 3rd's is; every other triple is negative. Takes the three
+    ranked models' predicted labels for the same rows."""
+    return np.where((first == RIGHT) & ((second == RIGHT) | (third == RIGHT)), RIGHT, LEFT)
 
 
 def rule_predict(ensemble: RuleEnsemble, rows):
-    """Positive iff the 1st-ranked model votes positive and at least one of the
-    2nd and 3rd does; every other triple is negative."""
+    """The rule_votes of the ranked models on rows, one row or a matrix."""
     rows = np.asarray(rows, dtype=float)
     single = rows.ndim == 1
     X = rows[None, :] if single else rows
-    a, b, c = (classifiers.predict(m, X) == RIGHT for m in ensemble.ranked)
-    out = np.where(a & (b | c), RIGHT, LEFT)
+    out = rule_votes(*(classifiers.predict(m, X) for m in ensemble.ranked))
     return int(out[0]) if single else out
 
 

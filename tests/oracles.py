@@ -4,10 +4,12 @@ Everything here is deliberately slow and simple: quadratic-time DFT, direct
 tap-by-tap frequency response and convolution, a periodogram built on the
 quadratic-time DFT, adaptive quadrature of the t density, one Pegasos step
 at a time, one trial file read or written after another, one trial's
-features after another. These are built and self-tested before the fast
-implementations they vet.
+features after another, a rule ensemble that predicts the test rows a second
+time. These are built and self-tested before the fast implementations they
+vet.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from motorclass import classifiers as cl
-from motorclass import dsp, features
+from motorclass import dsp, evaluation, features, fusion
 from motorclass.dataset import (CHANNELS, EPOCH_SAMPLES, EPOCHS_PER_TRIAL, FS, LEFT, RIGHT,
                                 TRIAL_SAMPLES, DataError, Dataset, Trial, write_csv,
                                 write_json)
@@ -249,6 +251,32 @@ def save_dataset_reference(dataset, out_dir) -> Path:
         if stale.name not in listed:
             stale.unlink()
     return manifest
+
+
+def score_fold_reference(X_train, y_train, X_test, y_test, calib, cfg, kinds) -> dict:
+    """evaluation._score_fold as it was written before the Rule row was formed
+    from the test predictions already made: the ranking is moved onto the
+    outer fit's models, and the three ranked ones predict every test row a
+    second time for the rule."""
+    scaler, Z_train, models = evaluation._fit(X_train, y_train, cfg, kinds)
+    Z_test = features.apply_scaler(scaler, X_test)
+    cms = {kind: evaluation._confusion(y_test, cl.predict(models[kind], Z_test))
+           for kind in kinds}
+    if len(kinds) < 3:
+        return cms
+    if calib is None:
+        ensemble = fusion.rank_models(models, Z_train, y_train)
+    else:
+        inner_scaler, _, inner_models = evaluation._fit(X_train[~calib], y_train[~calib],
+                                                        cfg, kinds)
+        ranking = fusion.rank_models(inner_models,
+                                     features.apply_scaler(inner_scaler, X_train[calib]),
+                                     y_train[calib])
+        ensemble = dataclasses.replace(ranking,
+                                       ranked=[models[k] for k in ranking.ranked_kinds])
+    a, b, c = (cl.predict(m, Z_test) == RIGHT for m in ensemble.ranked)
+    cms["Rule"] = evaluation._confusion(y_test, np.where(a & (b | c), RIGHT, LEFT))
+    return cms
 
 
 # The CSV tables as the package wrote them with hand-rolled f-string loops,

@@ -293,7 +293,10 @@ class TestTtest:
         sig05 = self._significant(loose / "ttest_map.csv")
         sig01 = self._significant(strict / "ttest_map.csv")
         assert sig01 <= sig05
-        assert (loose / "ttest_bands.csv").exists()
+        with open(loose / "ttest_bands.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["band", "channel", "mean_delta", "mean_delta_significant"]
+        assert len(rows) == 1 + 4 * 12
         assert (loose / "psd_curves.csv").exists()
 
     def test_planted_channels_dominate(self, ds_dir, tmp_path, capsys):
@@ -313,15 +316,6 @@ class TestTtest:
         assert "equal right/left counts, got 48 right and 40 left" in err
         assert "allow_truncate" not in err
         assert "Traceback" not in err
-
-    def test_bands_command(self, ds_dir, tmp_path, capsys):
-        out = tmp_path / "bands"
-        code, _, _ = run(["bands", manifest(ds_dir), "--out", str(out)], capsys)
-        assert code == 0
-        with open(out / "bands.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["band", "channel", "mean_delta", "mean_delta_significant"]
-        assert len(rows) == 1 + 4 * 12
 
 
 class TestEvaluate:
@@ -727,12 +721,30 @@ class TestConfigSchema:
                 assert params[name].default == cli.DEFAULTS[section][key], (fn.__name__, name)
 
 
+class TestCommandList:
+    """The README command table and --help name exactly the commands main
+    dispatches, so a command added or removed without its docs fails here."""
+
+    def test_readme_table_names_every_command(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Commands", 1)[1].split("\n## ", 1)[0]
+        names = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+        assert sorted(names) == sorted(cli.COMMANDS)
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        choices = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+        assert sorted(choices.split(",")) == sorted(cli.COMMANDS)
+
+
 class TestEntryPoint:
     def test_installed_script(self):
         proc = subprocess.run(["motorclass", "--help"], capture_output=True,
                               text=True)
         assert proc.returncode == 0
-        for name in ("synth", "validate", "features", "ttest", "bands",
+        for name in ("synth", "validate", "features", "ttest",
                      "evaluate", "report"):
             assert name in proc.stdout
 

@@ -1,7 +1,8 @@
 """One exit code per kind of fault: each row of the README exit-code table, and
 each data fault a user can cause, ends the CLI with its code and one stderr
-line (besides warnings) that names the fault, never with a traceback; an
-exception of any other kind is a bug and propagates out of cli.main."""
+line (besides warnings) that names the fault, never with a traceback; a
+usage error makes no output directory; an exception of any other kind is a
+bug and propagates out of cli.main."""
 
 import json
 
@@ -115,6 +116,23 @@ ROWS = {
                                                  "--amplitude-threshold", "5"],
                                 1, "usage error: --amplitude-threshold is used only with "
                                    "--amplitude-check"),
+    # a command takes only the flags it reads: --out where it writes, --seed
+    # where it draws random numbers
+    "validate_takes_no_out": (lambda ds, tmp: ["validate", str(ds / "manifest.json"),
+                                               "--out", str(tmp / "o")],
+                              1, "usage error: unrecognized arguments: --out "),
+    "features_takes_no_seed": (lambda ds, tmp: ["features", str(ds / "manifest.json"),
+                                                "--seed", "1", "--out", str(tmp / "o")],
+                               1, "usage error: unrecognized arguments: --seed 1"),
+    "ttest_takes_no_seed": (lambda ds, tmp: ["ttest", str(ds / "manifest.json"),
+                                             "--seed", "1", "--out", str(tmp / "o")],
+                            1, "usage error: unrecognized arguments: --seed 1"),
+    "report_takes_no_seed": (lambda ds, tmp: ["report", *_reports(tmp, ["SVM", "KNN", "LDA"]),
+                                              "--seed", "1", "--out", str(tmp / "o")],
+                             1, "usage error: unrecognized arguments: --seed 1"),
+    "no_bands_command": (lambda ds, tmp: ["bands", str(ds / "manifest.json"),
+                                          "--out", str(tmp / "o")],
+                         1, "usage error: argument command: invalid choice: 'bands'"),
     "nul_in_out_path": (lambda ds, tmp: ["synth", "--config",
                                          _json(tmp, {"io": {"output": "a\0b"}})],
                         1, "usage error: io.output must be a string or null, got 'a\\x00b'"),
@@ -195,6 +213,8 @@ def test_exit_code_and_one_line(request, tmp_path, capsys, row):
     else:
         assert len(errors) == 1, err
         assert errors[0].startswith(prefix.format(tmp=tmp_path)), err
+    if code == cli.EXIT_USAGE:   # found before the first write, so no --out is made
+        assert not (tmp_path / "o").exists()
 
 
 def test_bare_value_error_is_a_bug_that_propagates(ds, tmp_path, monkeypatch):

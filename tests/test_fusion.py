@@ -129,17 +129,18 @@ class TestRulePredict:
         singles = [fusion.rule_predict(ens, GRID[i]) for i in range(len(GRID))]
         assert np.array_equal(np.array(singles), want)
 
-    def test_replace_models_keeps_ranking(self):
-        models = {k: threshold_model(k, 50 + i)
+    def test_rule_votes_truth_table(self):
+        for a, b, c in itertools.product((True, False), repeat=3):
+            first, second, third = (np.array([RIGHT if v else LEFT]) for v in (a, b, c))
+            want = RIGHT if (a and (b or c)) else LEFT
+            assert fusion.rule_votes(first, second, third).tolist() == [want], (a, b, c)
+
+    def test_rule_predict_is_rule_votes_of_the_ranked_models(self):
+        models = {k: threshold_model(k, 40 + 7 * i)
                   for i, k in enumerate(fusion.TIE_PRECEDENCE)}
         ens = fusion.rank_models(models, GRID, GRID_Y)
-        refit = {k: threshold_model(k, 30) for k in ens.ranked_kinds}
-        swapped = fusion.replace_models(ens, refit)
-        assert swapped.ranked_kinds == ens.ranked_kinds
-        assert swapped.calibration_accuracy == ens.calibration_accuracy
-        x = GRID[:, 0]
-        assert np.array_equal(fusion.rule_predict(swapped, GRID),
-                              np.where(x >= 30, RIGHT, LEFT))
+        votes = fusion.rule_votes(*(cl.predict(m, GRID) for m in ens.ranked))
+        assert np.array_equal(fusion.rule_predict(ens, GRID), votes)
 
     def test_excluded_models_do_not_matter(self):
         models = {k: threshold_model(k, 50 + i)
