@@ -172,8 +172,8 @@ def _parse_kinds(text):
 
 
 def cmd_synth(args, cfg, out) -> None:
-    ds = dataset.generate_synthetic(_build(cfg, "synth"))
-    print(dataset.save_dataset(ds, out))
+    trials = dataset.SyntheticTrials(_build(cfg, "synth"))
+    print(dataset.save_dataset(dataset.Dataset(subject_id="synthetic", trials=trials), out))
 
 
 def cmd_validate(args, cfg, out) -> None:

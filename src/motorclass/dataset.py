@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,9 +146,62 @@ def _mirror_boost_channels(config: SynthConfig, label: int) -> list:
                    for i in map(CHANNEL_INDEX.get, config.target_channels) if i not in MIDLINE})
 
 
+class SyntheticTrials(Sequence):
+    """The trials of generate_synthetic(config), trial tt made when it is
+    indexed. Its draws come from PCG64(config.seed) advanced past those of
+    trials 0..tt-1: one 64-bit draw per uniform double, 8 x 12 x 255 phases
+    per trial plus one per boosted channel. So each trial is bitwise the one
+    a sequential loop over one generator makes, in any process and order."""
+
+    def __init__(self, config: SynthConfig):
+        self.config = config
+        freqs = np.arange(1, EPOCH_SAMPLES // 2)  # 1..255 Hz synthesis grid
+        amp = _MICROVOLT_SCALE * freqs.astype(float) ** (-config.noise_model / 2.0)
+        self.scaled_amp = np.sqrt(2.0) * amp
+        lo, hi = GEN_BAND_HZ[config.target_band]
+        self.band_mask = (freqs >= lo) & (freqs <= hi)
+        band_power = float((2.0 * amp ** 2 / EPOCH_SAMPLES)[self.band_mask].sum())
+        lines = np.arange(lo + (lo % 2), hi + 1, 2)
+        ratio = 10.0 ** (config.asymmetry_db / 10.0)
+        # each line's signed amplitude (alternating polarity) and 2 pi f t
+        self.line_amp = ((-1.0) ** np.arange(len(lines))
+                         * np.sqrt(2.0 * ratio * band_power * _line_shares(len(lines))))
+        self.line_arg = 2.0 * np.pi * lines[:, None] * (np.arange(TRIAL_SAMPLES) / FS)[None, :]
+        self.boosted = {label: _mirror_boost_channels(config, label)
+                        if config.asymmetry_db > 0 else [] for label in (RIGHT, LEFT)}
+        self.draws = {label: EPOCHS_PER_TRIAL * len(CHANNELS) * len(freqs) + len(boosted)
+                      for label, boosted in self.boosted.items()}
+
+    def __len__(self) -> int:
+        return 2 * self.config.n_trials_per_side
+
+    def __getitem__(self, tt: int) -> Trial:
+        n = self.config.n_trials_per_side
+        if not 0 <= tt < 2 * n:
+            raise IndexError(tt)
+        label = RIGHT if tt < n else LEFT
+        boosted = self.boosted[label]
+        skip = min(tt, n) * self.draws[RIGHT] + max(tt - n, 0) * self.draws[LEFT]
+        rng = np.random.Generator(np.random.PCG64(self.config.seed).advance(skip))
+        full = np.zeros((EPOCHS_PER_TRIAL, len(CHANNELS), EPOCH_SAMPLES), dtype=np.complex128)
+        spectra = full[:, :, 1:EPOCH_SAMPLES // 2]
+        for epoch in spectra:  # one epoch at a time, which keeps exp's operands in cache
+            epoch[:] = self.scaled_amp * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, epoch.shape))
+        if boosted:
+            spectra[:, np.array(boosted)[:, None], self.band_mask] = 0.0
+        full[:, :, EPOCH_SAMPLES // 2 + 1:] = np.conj(spectra[:, :, ::-1])
+        # the unnormalized inverse DFT over sqrt(2N), so frequency f carries 2 amp_f^2 / N
+        epochs = dsp._fft_last_axis(full, inverse=True).real / np.sqrt(2.0 * EPOCH_SAMPLES)
+        samples = epochs.transpose(1, 0, 2).reshape(len(CHANNELS), TRIAL_SAMPLES)
+        for ch in boosted:
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            samples[ch] += (self.line_amp[:, None] * np.cos(self.line_arg + phi)).sum(axis=0)
+        return Trial(trial_id=tt, label=label, samples=samples)
+
+
 def generate_synthetic(config: SynthConfig) -> Dataset:
     """Deterministic synthetic dataset: 2 x n_trials_per_side trials of 1/f^alpha
-    background with a planted band-power asymmetry.
+    background with a planted band-power asymmetry, all held in memory.
 
     Background: per-epoch random-phase Fourier surrogate with fixed coefficient
     magnitudes (power exactly proportional to 1/f^alpha on the 1 Hz synthesis
@@ -160,45 +214,7 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     band's baseline power. Replacing rather than adding keeps the planted band
     power exact per trial.
     """
-    rng = np.random.default_rng(config.seed)
-    freqs = np.arange(1, EPOCH_SAMPLES // 2)  # 1..255 Hz synthesis grid
-    amp = _MICROVOLT_SCALE * freqs.astype(float) ** (-config.noise_model / 2.0)
-    var_per_freq = 2.0 * amp ** 2 / EPOCH_SAMPLES
-
-    lo, hi = GEN_BAND_HZ[config.target_band]
-    band_mask = (freqs >= lo) & (freqs <= hi)
-    band_power = float(var_per_freq[band_mask].sum())
-    lines = np.arange(lo + (lo % 2), hi + 1, 2)
-    shares = _line_shares(len(lines))
-    ratio = 10.0 ** (config.asymmetry_db / 10.0)
-    line_amp = np.sqrt(2.0 * ratio * band_power * shares)
-    polarity = (-1.0) ** np.arange(len(lines))
-    t_grid = np.arange(TRIAL_SAMPLES) / FS
-
-    n = config.n_trials_per_side
-    trials = []
-    for tt in range(2 * n):
-        label = RIGHT if tt < n else LEFT
-        boosted = _mirror_boost_channels(config, label) if config.asymmetry_db > 0 else []
-        spectra = np.empty((EPOCHS_PER_TRIAL, len(CHANNELS), len(freqs)), dtype=np.complex128)
-        for e in range(EPOCHS_PER_TRIAL):
-            phase = rng.uniform(0.0, 2.0 * np.pi, (len(CHANNELS), len(freqs)))
-            spectra[e] = np.sqrt(2.0) * amp * np.exp(1j * phase)
-            if boosted:
-                spectra[e][np.ix_(boosted, np.nonzero(band_mask)[0])] = 0.0
-        full = np.zeros((EPOCHS_PER_TRIAL, len(CHANNELS), EPOCH_SAMPLES), dtype=np.complex128)
-        full[:, :, 1:EPOCH_SAMPLES // 2] = spectra
-        full[:, :, EPOCH_SAMPLES // 2 + 1:] = np.conj(spectra[:, :, ::-1])
-        # the unnormalized inverse DFT over sqrt(2N), so each frequency carries var_per_freq
-        epochs = dsp._fft_last_axis(full, inverse=True).real / np.sqrt(2.0 * EPOCH_SAMPLES)
-        samples = epochs.transpose(1, 0, 2).reshape(len(CHANNELS), TRIAL_SAMPLES)
-        for ch in boosted:
-            phi = rng.uniform(0.0, 2.0 * np.pi)
-            rhythm = (polarity[:, None] * line_amp[:, None]
-                      * np.cos(2.0 * np.pi * lines[:, None] * t_grid[None, :] + phi)).sum(axis=0)
-            samples[ch] += rhythm
-        trials.append(Trial(trial_id=tt, label=label, samples=samples))
-    return Dataset(subject_id="synthetic", trials=trials)
+    return Dataset(subject_id="synthetic", trials=list(SyntheticTrials(config)))
 
 
 def write_csv(path, header, fmt, rows) -> Path:
@@ -223,35 +239,34 @@ def write_json(path, obj) -> Path:
     return path
 
 
-def _write_trial(out: Path, trial: Trial) -> str:
-    """Write one trial's samples to out/trial_XXXX.csv; returns the file name."""
+def _write_trial(out: Path, trial: Trial) -> dict:
+    """Write one trial's samples to out/trial_XXXX.csv; returns its manifest entry."""
     name = f"trial_{trial.trial_id:04d}.csv"
     write_csv(out / name, CHANNELS, ["%.17g"] * len(CHANNELS),
               (row.tolist() for row in trial.samples.T))
-    return name
+    return {"trial_id": trial.trial_id, "label": trial.label, "file": name}
 
 
 def save_dataset(dataset: Dataset, out_dir) -> Path:
     """Write one CSV per trial and manifest.json, then delete the trial_*.csv
     files in out_dir that the manifest does not list; returns the manifest path.
 
-    The trial files are written through fork_map, so only their names come
-    back from the workers. If a trial's write raises OSError, the first
-    failing trial's error is raised, in trial order, as a sequential loop
-    would raise it; manifest.json is then neither written nor updated, and
-    files for later trials may exist where the loop would not have written
-    them."""
+    The trial files are written through fork_map and only their manifest
+    entries come back, so SyntheticTrials makes each trial in the worker that
+    writes it and the caller never holds one. If a trial's write raises
+    OSError, the first failing trial's error is raised, in trial order, as a
+    sequential loop would raise it; manifest.json is then neither written nor
+    updated, and files for later trials may exist where the loop would not
+    have written them."""
     out = Path(out_dir)
-    names = fork_map(lambda trial: _write_trial(out, trial), dataset.trials)
-    entries = [{"trial_id": trial.trial_id, "label": trial.label, "file": name}
-               for trial, name in zip(dataset.trials, names)]
+    entries = fork_map(lambda trial: _write_trial(out, trial), dataset.trials)
     manifest = write_json(out / "manifest.json", {
         "subject_id": dataset.subject_id,
         "fs": FS,
         "channels": list(CHANNELS),
         "trials": entries,
     })
-    listed = set(names)
+    listed = {entry["file"] for entry in entries}
     for stale in out.glob("trial_*.csv"):
         if stale.name not in listed:
             stale.unlink()
@@ -326,18 +341,22 @@ def _run_job(i):
 def fork_map(fn, items) -> list:
     """[fn(x) for x in items], in order, computed in up to one forked process
     per available CPU; with fewer than 2 workers it is the builtin map in the
-    calling process. The first failing item's exception is raised, as a
-    sequential loop would raise it. Items are sent in chunks of about a
-    quarter of each worker's share, as multiprocessing.Pool.map sends them,
-    because one task per item costs the parent a wake-up per result.
+    calling process. Workers read items only by index, so a sequence that
+    makes each item when indexed (SyntheticTrials) makes it where it is used;
+    the builtin map makes one at a time. The first failing item's exception
+    is raised, as a sequential loop would raise it. Items are sent in chunks
+    of about a quarter of each worker's share, as multiprocessing.Pool.map
+    sends them, because one task per item costs the parent a wake-up per result.
 
     Neither fn nor the items are pickled, so fn may be a closure: each forked
     worker inherits the pair as its initializer's arguments, puts it in its
     own _JOB, and is sent item indices; only the results cross the pipe. The
     pool modules are imported here because importing them would slow every
     command's start-up. Workers are forked, not spawned, so they do not
-    import numpy and the package again; fn must call no BLAS routine, and the
-    pool forks all its workers before it starts its own thread."""
+    import numpy and the package again; fn, and the making of an item, must
+    call no BLAS routine (the synthetic generator calls none: its inverse FFT
+    is the package's own), and the pool forks all its workers before it
+    starts its own thread."""
     workers = min(len(os.sched_getaffinity(0)), len(items))
     if workers < 2:
         return list(map(fn, items))

@@ -3,7 +3,8 @@
 Everything here is deliberately slow and simple: quadratic-time DFT, direct
 tap-by-tap frequency response and convolution, a periodogram built on the
 quadratic-time DFT, adaptive quadrature of the t density, one Pegasos step
-at a time, one trial file read or written after another, one trial's
+at a time, every synthetic trial drawn in turn from one generator, one trial
+file read or written after another, one trial's
 features after another, a rule ensemble that predicts the test rows a second
 time. These are built and self-tested before the fast implementations they
 vet.
@@ -19,9 +20,10 @@ import numpy as np
 
 from motorclass import classifiers as cl
 from motorclass import dsp, evaluation, features, fusion
-from motorclass.dataset import (CHANNELS, EPOCH_SAMPLES, EPOCHS_PER_TRIAL, FS, LEFT, RIGHT,
-                                TRIAL_SAMPLES, DataError, Dataset, Trial, write_csv,
-                                write_json)
+from motorclass.dataset import (_MICROVOLT_SCALE, CHANNELS, EPOCH_SAMPLES, EPOCHS_PER_TRIAL,
+                                FS, GEN_BAND_HZ, LEFT, RIGHT, TRIAL_SAMPLES, DataError,
+                                Dataset, Trial, _line_shares, _mirror_boost_channels,
+                                write_csv, write_json)
 
 
 def brute_dft(x, inverse: bool = False) -> np.ndarray:
@@ -226,6 +228,51 @@ def build_feature_matrix_reference(dataset, filt, scale: str = "linear"):
     if not np.all(np.isfinite(X)):
         raise dsp.DspError("feature matrix contains non-finite values")
     return features.FeatureMatrix(X=X, y=y, trial_ids=trial_ids, epochs=epoch_idx)
+
+
+def generate_synthetic_reference(config) -> Dataset:
+    """dataset.generate_synthetic as it was written before each trial could be
+    made on its own: one loop over the trials that draws every trial's phases
+    from one generator, in trial order."""
+    rng = np.random.default_rng(config.seed)
+    freqs = np.arange(1, EPOCH_SAMPLES // 2)  # 1..255 Hz synthesis grid
+    amp = _MICROVOLT_SCALE * freqs.astype(float) ** (-config.noise_model / 2.0)
+    var_per_freq = 2.0 * amp ** 2 / EPOCH_SAMPLES
+
+    lo, hi = GEN_BAND_HZ[config.target_band]
+    band_mask = (freqs >= lo) & (freqs <= hi)
+    band_power = float(var_per_freq[band_mask].sum())
+    lines = np.arange(lo + (lo % 2), hi + 1, 2)
+    shares = _line_shares(len(lines))
+    ratio = 10.0 ** (config.asymmetry_db / 10.0)
+    line_amp = np.sqrt(2.0 * ratio * band_power * shares)
+    polarity = (-1.0) ** np.arange(len(lines))
+    t_grid = np.arange(TRIAL_SAMPLES) / FS
+
+    n = config.n_trials_per_side
+    trials = []
+    for tt in range(2 * n):
+        label = RIGHT if tt < n else LEFT
+        boosted = _mirror_boost_channels(config, label) if config.asymmetry_db > 0 else []
+        spectra = np.empty((EPOCHS_PER_TRIAL, len(CHANNELS), len(freqs)), dtype=np.complex128)
+        for e in range(EPOCHS_PER_TRIAL):
+            phase = rng.uniform(0.0, 2.0 * np.pi, (len(CHANNELS), len(freqs)))
+            spectra[e] = np.sqrt(2.0) * amp * np.exp(1j * phase)
+            if boosted:
+                spectra[e][np.ix_(boosted, np.nonzero(band_mask)[0])] = 0.0
+        full = np.zeros((EPOCHS_PER_TRIAL, len(CHANNELS), EPOCH_SAMPLES), dtype=np.complex128)
+        full[:, :, 1:EPOCH_SAMPLES // 2] = spectra
+        full[:, :, EPOCH_SAMPLES // 2 + 1:] = np.conj(spectra[:, :, ::-1])
+        # the unnormalized inverse DFT over sqrt(2N), so each frequency carries var_per_freq
+        epochs = dsp._fft_last_axis(full, inverse=True).real / np.sqrt(2.0 * EPOCH_SAMPLES)
+        samples = epochs.transpose(1, 0, 2).reshape(len(CHANNELS), TRIAL_SAMPLES)
+        for ch in boosted:
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            rhythm = (polarity[:, None] * line_amp[:, None]
+                      * np.cos(2.0 * np.pi * lines[:, None] * t_grid[None, :] + phi)).sum(axis=0)
+            samples[ch] += rhythm
+        trials.append(Trial(trial_id=tt, label=label, samples=samples))
+    return Dataset(subject_id="synthetic", trials=trials)
 
 
 def save_dataset_reference(dataset, out_dir) -> Path:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from motorclass.classifiers import TrainConfig
-from motorclass.dataset import LEFT, RIGHT
-from oracles import (brute_dft, direct_fir, freq_response, pegasos_reference, periodogram_psd,
-                     t_two_tailed_p)
+from motorclass.dataset import CHANNEL_INDEX, LEFT, RIGHT, SynthConfig
+from oracles import (brute_dft, direct_fir, freq_response, generate_synthetic_reference,
+                     pegasos_reference, periodogram_psd, t_two_tailed_p)
 
 
 def test_brute_dft_impulse():
@@ -36,6 +36,26 @@ def test_brute_dft_inverse_and_batch_match_library():
     x = rng.normal(size=(2, 3, 16)) + 1j * rng.normal(size=(2, 3, 16))
     assert np.allclose(brute_dft(x), np.fft.fft(x), atol=1e-9)
     assert np.allclose(brute_dft(x, inverse=True), 16 * np.fft.ifft(x), atol=1e-9)
+
+
+def test_synthetic_reference_spectrum():
+    """Each background bin of an epoch has DFT magnitude sqrt(N) * amp, amp the
+    1/f^(alpha/2) magnitude; a boosted channel's band holds 10^(db/10) times
+    the power the background puts there."""
+    trial = generate_synthetic_reference(
+        SynthConfig(n_trials_per_side=1, asymmetry_db=6.0, noise_model=1.5, seed=4)).trials[0]
+    assert trial.label == RIGHT   # so C4 alone is boosted, in the alpha band
+    n = 512
+    freqs = np.arange(1, n // 2)
+    background = np.sqrt(n) * 50.0 * freqs ** -0.75
+    band = (freqs >= 7) & (freqs <= 13)
+    c4 = CHANNEL_INDEX["C4"]
+    for start in (0, 7 * n):
+        spec = np.abs(brute_dft(trial.samples[:, start:start + n]))[:, 1:n // 2]
+        assert np.allclose(np.delete(spec, c4, axis=0), background, rtol=1e-9, atol=0)
+        assert np.allclose(spec[c4, ~band], background[~band], rtol=1e-9, atol=0)
+        assert (spec[c4, band] ** 2).sum() == pytest.approx(
+            10 ** 0.6 * (background[band] ** 2).sum(), rel=1e-9)
 
 
 def test_direct_fir_identity_and_library():
