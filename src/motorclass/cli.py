@@ -83,11 +83,11 @@ def _merge_config(path) -> dict:
     try:
         user = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
-        raise UsageError(f"config file not found: {path}") from exc
+        raise UsageError(f"config file not found: {str(path)!r}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise UsageError(f"config file {str(path)!r} is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"config file {path}: {exc}") from exc
+        raise UsageError(f"config file {str(path)!r}: {exc}") from exc
     if not isinstance(user, dict):
         raise UsageError("config root must be a JSON object")
     for section, values in user.items():
@@ -144,18 +144,14 @@ def _require_out(args, cfg) -> Path:
         raise UsageError("an output directory is required (--out or config io.output)")
     out = Path(out)
     if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
-        raise UsageError(f"output directory {out} is not a directory")
+        raise UsageError(f"output directory {str(out)!r} is not a directory")
     return out
 
 
-def _load(args, cfg) -> dataset.Dataset:
-    """The input dataset, featurized under the filter section as it is read."""
-    return dataset.load_dataset(args.manifest, _build(cfg, "filter"))
-
-
 def _feature_matrix(args, cfg, scale: str) -> features.FeatureMatrix:
-    ds = _load(args, cfg)
-    return features.build_feature_matrix(ds, ds.filt, scale=scale)
+    files = dataset.TrialFiles(args.manifest)
+    return features.build_feature_matrix(dataset.Dataset(files.subject_id, files),
+                                         _build(cfg, "filter"), scale=scale)
 
 
 def _parse_kinds(text):
@@ -206,11 +202,12 @@ def cmd_ttest(args, cfg, out) -> None:
 
 
 def cmd_evaluate(args, cfg, out) -> None:
-    ds = _load(args, cfg)
+    files = dataset.TrialFiles(args.manifest)
     report = evaluation.run_cv(
-        ds, _build(cfg, "train"), seed=cfg["cv"]["seed"], kinds=args.classifiers,
+        dataset.Dataset(files.subject_id, files), _build(cfg, "train"),
+        seed=cfg["cv"]["seed"], kinds=args.classifiers,
         ranking_source=cfg["fusion"]["ranking_source"], scale=cfg["features"]["scale"],
-        granularity=cfg["cv"]["granularity"])
+        granularity=cfg["cv"]["granularity"], filt=_build(cfg, "filter"))
     report["config"] = cfg
     dataset.write_json(out / "report.json", report)
     evaluation.report_to_csv(report, out / "report.csv")

@@ -62,15 +62,13 @@ class DataError(ValueError):
 class Trial:
     trial_id: int
     label: int
-    samples: np.ndarray | None  # (12 channels, 4096 samples), microvolts
-    rows: np.ndarray | None = None  # (8, 300) feature rows, in place of the samples
+    samples: np.ndarray  # (12 channels, 4096 samples), microvolts
 
 
 @dataclass
 class Dataset:
     subject_id: str
-    trials: list
-    filt: dsp.FirFilter | None = None  # the filter the trials' rows were made under
+    trials: Sequence  # a list, or SyntheticTrials or TrialFiles, which make trial i when indexed
 
     def count(self, label: int) -> int:
         return sum(1 for t in self.trials if t.label == label)
@@ -303,7 +301,9 @@ def _read_trial(entry) -> Trial:
     samples C-contiguous; raises DataError if the file's header, cells, shape
     or values are bad."""
     tid, label, fpath = entry
-    with open(fpath) as fh:
+    with open(fpath) as fh, warnings.catch_warnings():
+        # a header-only file is one BadSampleCount, without numpy's no-data warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         # the header is read in the try, so a non-UTF-8 byte there is a
         # BadTrialFile too; BadChannels, a ValueError, is raised after the try
         try:
@@ -342,11 +342,11 @@ def fork_map(fn, items) -> list:
     """[fn(x) for x in items], in order, computed in up to one forked process
     per available CPU; with fewer than 2 workers it is the builtin map in the
     calling process. Workers read items only by index, so a sequence that
-    makes each item when indexed (SyntheticTrials) makes it where it is used;
-    the builtin map makes one at a time. The first failing item's exception
-    is raised, as a sequential loop would raise it. Items are sent in chunks
-    of about a quarter of each worker's share, as multiprocessing.Pool.map
-    sends them, because one task per item costs the parent a wake-up per result.
+    makes each item when indexed (SyntheticTrials, TrialFiles) makes it where
+    it is used; the builtin map makes one at a time. The first failing item's
+    exception is raised, as a sequential loop would raise it. Items go in
+    chunks of about a quarter of each worker's share, as Pool.map sends them,
+    because one task per item costs the parent a wake-up per result.
 
     Neither fn nor the items are pickled, so fn may be a closure: each forked
     worker inherits the pair as its initializer's arguments, puts it in its
@@ -368,15 +368,8 @@ def fork_map(fn, items) -> list:
                              chunksize=-(-len(items) // (4 * workers))))
 
 
-def load_dataset(manifest_path, filt: dsp.FirFilter | None = None) -> Dataset:
-    """Load and validate a dataset from its manifest; raises DataError on the
-    first violation, warns (does not reject) on left/right imbalance.
-
-    The trial files are parsed through fork_map. With a filter, the worker
-    that parses a trial also filters, epochs and PSDs it (dsp._trial_rows),
-    so each trial comes back holding its rows and no samples, and the
-    dataset records filt as the filter they were made under."""
-    path = Path(manifest_path)
+def _manifest(path: Path) -> dict:
+    """The manifest at path, checked up to its trial entries."""
     if not path.exists():
         raise DataError("MissingFile", repr(str(path)))
     try:
@@ -399,24 +392,41 @@ def load_dataset(manifest_path, filt: dsp.FirFilter | None = None) -> Dataset:
                         f"manifest channels {manifest['channels']!r} != expected montage")
     if not manifest["trials"]:
         raise DataError("EmptyDataset", "manifest lists zero trials")
-    # entries are checked here up to the first fault; the files listed before
-    # it are read, and a file fault among them is reported before the entry fault
-    checked, fault = [], None
-    try:
-        for entry in _checked_entries(manifest["trials"], path.parent):
-            checked.append(entry)
-    except DataError as exc:
-        fault = exc
-    if filt is None:
-        read = _read_trial
-    else:
-        def read(entry):
-            trial = _read_trial(entry)
-            return Trial(trial.trial_id, trial.label, None, dsp._trial_rows(filt, trial.samples))
-    trials = fork_map(read, checked)
-    if fault is not None:
-        raise fault
-    ds = Dataset(subject_id=manifest["subject_id"], trials=trials, filt=filt)
-    if ds.count(RIGHT) != ds.count(LEFT):
-        warnings.warn(f"imbalanced dataset: {ds.count(RIGHT)} right vs {ds.count(LEFT)} left")
-    return ds
+    return manifest
+
+
+class TrialFiles(Sequence):
+    """A manifest's trials, trial i read from its file when it is indexed.
+    Making it checks the manifest, then its entries up to the first bad one,
+    which ends the sequence: indexing it raises the entry's DataError, so
+    fork_map raises a file fault listed before it first. Else a left/right imbalance warns."""
+
+    def __init__(self, manifest_path):
+        path = Path(manifest_path)
+        manifest = _manifest(path)
+        self.subject_id = manifest["subject_id"]
+        self.entries, self.fault = [], None
+        try:
+            for entry in _checked_entries(manifest["trials"], path.parent):
+                self.entries.append(entry)
+        except DataError as exc:
+            self.fault = exc
+            return
+        right = sum(label == RIGHT for _, label, _ in self.entries)
+        if 2 * right != len(self.entries):
+            warnings.warn(f"imbalanced dataset: {right} right vs {len(self.entries) - right} left")
+
+    def __len__(self) -> int:
+        return len(self.entries) + (self.fault is not None)
+
+    def __getitem__(self, i: int) -> Trial:
+        if i == len(self.entries) and self.fault is not None:
+            raise self.fault
+        return _read_trial(self.entries[i])
+
+
+def load_dataset(manifest_path) -> Dataset:
+    """The dataset a manifest lists, every trial read through fork_map and
+    held in memory; raises the DataError that TrialFiles reports first."""
+    files = TrialFiles(manifest_path)
+    return Dataset(files.subject_id, fork_map(lambda trial: trial, files))

@@ -97,17 +97,18 @@ def _confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
 
 def run_cv(dataset: Dataset, cfg: classifiers.TrainConfig, seed: int,
            kinds=None, ranking_source: str = RANKING_SOURCES[0],
-           scale: str = features.SCALES[0], granularity: str = GRANULARITIES[0]) -> dict:
+           scale: str = features.SCALES[0], granularity: str = GRANULARITIES[0],
+           filt: dsp.FirFilter | None = None) -> dict:
     """Full cross-validated evaluation of the requested models (default all
     five); returns the report as a plain dict. Folds split trials, or epoch
-    rows with granularity="epoch"; features use dataset.filt or DEFAULT_FILTER."""
+    rows with granularity="epoch"; features are made under filt, or DEFAULT_FILTER."""
     if ranking_source not in RANKING_SOURCES:
         raise ValueError(f"ranking_source must be one of {RANKING_SOURCES}, got {ranking_source!r}")
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity must be one of {GRANULARITIES}, got {granularity!r}")
     kinds = classifiers.MODEL_KINDS if kinds is None else tuple(kinds)
     fm = features.build_feature_matrix(
-        dataset, dataset.filt or dsp.design_bandpass(FS, *DEFAULT_FILTER), scale=scale)
+        dataset, filt or dsp.design_bandpass(FS, *DEFAULT_FILTER), scale=scale)
 
     # folds and calibration holdouts are drawn per unit, then broadcast to rows
     units = fm.trial_ids if granularity == "trial" else np.arange(fm.n_rows)
@@ -195,11 +196,11 @@ def load_report(path) -> dict:
     each fold cell must count at least one row."""
     path = Path(path)
     if not path.exists():
-        raise DataError("MissingFile", str(path))
+        raise DataError("MissingFile", repr(str(path)))
     try:
         report = json.loads(path.read_text())
     except ValueError as exc:  # not JSON, or not UTF-8
-        raise DataError("BadReport", f"{path}: {exc}") from exc
+        raise DataError("BadReport", f"{str(path)!r}: {exc}") from exc
     counts = {f.name for f in fields(ConfusionMatrix)}
 
     def is_row(entry):
@@ -213,7 +214,7 @@ def load_report(path) -> dict:
     rows = report.get("classifiers") if isinstance(report, dict) else None
     if not (isinstance(rows, list) and rows and isinstance(report.get("subject_id"), str)
             and all(map(is_row, rows))):
-        raise DataError("BadReport", f"{path} is not an evaluate report")
+        raise DataError("BadReport", f"{str(path)!r} is not an evaluate report")
     return report
 
 

@@ -45,33 +45,25 @@ def build_feature_matrix(dataset: Dataset, filt: dsp.FirFilter,
                          scale: str = SCALES[0]) -> FeatureMatrix:
     """Filter each full trial, epoch it, and compute per-channel spectral rows.
 
-    A dataset loaded with this same filter object already holds each trial's
-    rows, made while the trial was read, and they are used as they are; one
-    whose rows were made under another filter is a ValueError. Otherwise each
-    trial's samples go through dsp._trial_rows in dataset.fork_map, so only
-    its rows come back from a worker. Row order is (trial order in the
-    dataset, epoch index). With scale="db" the 300 values are reported as dB
-    (10 log10) rather than linear density.
+    Each trial goes through dsp._trial_rows in dataset.fork_map, and only its
+    id, label and rows come back from a worker; a sequence that makes trial i
+    when indexed (TrialFiles, SyntheticTrials) makes it in that worker. Row
+    order is (trial order in the dataset, epoch index). With scale="db" the
+    300 values are reported as dB (10 log10) rather than linear density.
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
-    if dataset.filt is None:
-        rows = fork_map(lambda samples: dsp._trial_rows(filt, samples),
-                        [trial.samples for trial in dataset.trials])
-    elif dataset.filt is filt:
-        rows = [trial.rows for trial in dataset.trials]
-    else:
-        raise ValueError("the dataset's rows were made under another filter")
-    n_trials = len(dataset.trials)
-    X = np.empty((n_trials * EPOCHS_PER_TRIAL, N_FEATURES))
-    y = np.empty(n_trials * EPOCHS_PER_TRIAL, dtype=int)
+    results = fork_map(lambda t: (t.trial_id, t.label, dsp._trial_rows(filt, t.samples)),
+                       dataset.trials)
+    X = np.empty((len(results) * EPOCHS_PER_TRIAL, N_FEATURES))
+    y = np.empty(len(results) * EPOCHS_PER_TRIAL, dtype=int)
     trial_ids = np.empty_like(y)
     epoch_idx = np.empty_like(y)
-    for i, trial in enumerate(dataset.trials):
+    for i, (trial_id, label, rows) in enumerate(results):
         sl = slice(i * EPOCHS_PER_TRIAL, (i + 1) * EPOCHS_PER_TRIAL)
-        X[sl] = rows[i]
-        y[sl] = trial.label
-        trial_ids[sl] = trial.trial_id
+        X[sl] = rows
+        y[sl] = label
+        trial_ids[sl] = trial_id
         epoch_idx[sl] = np.arange(EPOCHS_PER_TRIAL)
     if scale == "db":
         X = 10.0 * np.log10(np.maximum(X, 1e-20))

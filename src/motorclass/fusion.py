@@ -56,21 +56,21 @@ def rule_predict(ensemble: RuleEnsemble, rows):
     return int(out[0]) if single else out
 
 
-def make_calibration_split(trial_ids, trial_labels, seed):
-    """Deterministic stratified trial-level split: per label, a seeded shuffle
-    of the sorted trial ids sends floor(CALIB_FRACTION * n) trials (at least 1)
-    to the calibration side. Returns (fit_ids, calib_ids) as sorted arrays."""
-    trial_ids = np.asarray(trial_ids)
-    trial_labels = np.asarray(trial_labels)
-    if len(trial_ids) != len(trial_labels):
-        raise ValueError("trial_ids and trial_labels must align")
-    order = np.argsort(trial_ids, kind="stable")
-    ids, labels = trial_ids[order], trial_labels[order]
+def make_calibration_split(unit_ids, unit_labels, seed):
+    """Deterministic stratified split of units (trials or epoch rows): per label,
+    a seeded shuffle of the sorted unit ids sends floor(CALIB_FRACTION * n)
+    units (at least 1) to calibration. Returns (fit_ids, calib_ids), sorted."""
+    unit_ids = np.asarray(unit_ids)
+    unit_labels = np.asarray(unit_labels)
+    if len(unit_ids) != len(unit_labels):
+        raise ValueError("unit_ids and unit_labels must align")
+    order = np.argsort(unit_ids, kind="stable")
+    ids, labels = unit_ids[order], unit_labels[order]
     n_calib = np.zeros(len(ids), dtype=int)
     for label in (RIGHT, LEFT):
         n = int((labels == label).sum())
         if n < 2:
-            raise ValueError(f"need >= 2 trials of label {label} to split")
+            raise ValueError(f"need >= 2 units of label {label} to split")
         n_calib[labels == label] = max(1, int(CALIB_FRACTION * n))
     calib = stratified_positions(labels, seed) < n_calib
     return ids[~calib], ids[calib]

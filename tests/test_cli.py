@@ -157,7 +157,7 @@ class TestExitCodes:
         code, _, err = run(["features", manifest(ds_dir), "--out", str(tmp_path / out)],
                            capsys)
         assert code == cli.EXIT_USAGE
-        assert err == f"usage error: output directory {tmp_path / out} is not a directory\n"
+        assert err == f"usage error: output directory {str(tmp_path / out)!r} is not a directory\n"
 
     def test_unsupported_fold_count(self, tmp_path, capsys, ds_dir):
         cfg = tmp_path / "cfg.json"
@@ -252,6 +252,28 @@ class TestValidate:
         assert code == 0
         assert "ok: 5 trials (3 right, 2 left)" in out_text
         assert err == "warning: imbalanced dataset: 3 right vs 2 left\n"
+
+    @pytest.mark.parametrize("command", ["validate", "ttest"])
+    def test_imbalance_warns_before_a_corrupt_trial_fails(self, ds_dir, tmp_path, capsys,
+                                                          command):
+        # the warning comes when the manifest is read, before any trial file is
+        corrupt = tmp_path / "corrupt.csv"
+        lines = (ds_dir / "trial_0001.csv").read_text().splitlines()
+        lines[1] = "abc," + lines[1].split(",", 1)[1]
+        corrupt.write_text("\n".join(lines) + "\n")
+
+        def three_right_two_left(trials):
+            trials[:] = ([e for e in trials if e["label"] == 1][:3]
+                         + [e for e in trials if e["label"] == 2][:2])
+            trials[1]["file"] = str(corrupt)
+
+        bad = edited_manifest(ds_dir, tmp_path, three_right_two_left)
+        argv = [command, bad] + (["--out", str(tmp_path / "o")] if command == "ttest" else [])
+        code, _, err = run(argv, capsys)
+        assert code == cli.EXIT_DATA
+        warning, error = err.splitlines()
+        assert warning == "warning: imbalanced dataset: 3 right vs 2 left"
+        assert error.startswith("data error: BadTrialFile (trial 1): 'corrupt.csv': ")
 
 
 class TestFeatures:
@@ -404,8 +426,8 @@ class TestFilterSection:
                           "--out", str(out), *flags], capsys)
         assert code == 0
         filt = dsp.design_bandpass(dataset.FS, **self.FILTER)
-        ds = dataset.load_dataset(manifest(ds_dir), filt)
-        expected = evaluation.run_cv(ds, classifiers.TrainConfig(), seed=0, scale=scale)
+        expected = evaluation.run_cv(dataset.load_dataset(manifest(ds_dir)),
+                                     classifiers.TrainConfig(), seed=0, scale=scale, filt=filt)
         report = json.loads((out / "report.json").read_text())
         assert report["classifiers"] == json.loads(json.dumps(expected["classifiers"]))
 
@@ -564,7 +586,7 @@ class TestReport:
         bad.write_text(json.dumps(blob))
         code, _, err = run(["report", str(bad), "--out", str(tmp_path / "o")], capsys)
         assert code == cli.EXIT_DATA
-        assert err.startswith(f"data error: BadReport: {bad} is not an evaluate report")
+        assert err.startswith(f"data error: BadReport: {str(bad)!r} is not an evaluate report")
         assert len(err.splitlines()) == 1
 
     def test_combined_report_fed_back_is_data_error(self, ds_dir, tmp_path, capsys):
@@ -575,7 +597,8 @@ class TestReport:
         code, _, err = run(["report", str(a / "report.json"), str(combined), "--out",
                             str(tmp_path / "again")], capsys)
         assert code == cli.EXIT_DATA
-        assert err.startswith(f"data error: BadReport: {combined} is not an evaluate report")
+        assert err.startswith(f"data error: BadReport: {str(combined)!r} is not an evaluate "
+                              "report")
         assert len(err.splitlines()) == 1
 
     def test_empty_fold_cell_is_data_error(self, ds_dir, tmp_path, capsys):
@@ -587,7 +610,7 @@ class TestReport:
         bad.write_text(json.dumps(blob))
         code, _, err = run(["report", str(bad), "--out", str(tmp_path / "o")], capsys)
         assert code == cli.EXIT_DATA
-        assert err.startswith(f"data error: BadReport: {bad} is not an evaluate report")
+        assert err.startswith(f"data error: BadReport: {str(bad)!r} is not an evaluate report")
         assert len(err.splitlines()) == 1
 
     def test_missing_report_file(self, tmp_path, capsys):
@@ -639,9 +662,9 @@ class TestCheckFirst:
 
     def test_bad_classifier_reads_nothing(self, ds_dir, tmp_path, capsys, monkeypatch):
         calls = []
-        load = dataset.load_dataset
-        monkeypatch.setattr(dataset, "load_dataset",
-                            lambda *a, **k: calls.append(a) or load(*a, **k))
+        files = dataset.TrialFiles
+        monkeypatch.setattr(dataset, "TrialFiles",
+                            lambda *a, **k: calls.append(a) or files(*a, **k))
         code, _, err = run(["evaluate", manifest(ds_dir), "--classifiers", "bogus",
                             "--out", str(tmp_path / "o")], capsys)
         assert code == cli.EXIT_USAGE
@@ -650,9 +673,9 @@ class TestCheckFirst:
 
     def test_missing_manifest_never_makes_out(self, tmp_path, capsys, monkeypatch):
         new, seen = tmp_path / "new", []
-        load = dataset.load_dataset
-        monkeypatch.setattr(dataset, "load_dataset",
-                            lambda *a, **k: seen.append(new.exists()) or load(*a, **k))
+        files = dataset.TrialFiles
+        monkeypatch.setattr(dataset, "TrialFiles",
+                            lambda *a, **k: seen.append(new.exists()) or files(*a, **k))
         code, _, err = run(["ttest", str(tmp_path / "missing.json"),
                             "--out", str(new / "o")], capsys)
         assert code == cli.EXIT_DATA

@@ -5,11 +5,18 @@ usage error makes no output directory; an exception of any other kind is a
 bug and propagates out of cli.main."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import motorclass
 from motorclass import cli, dataset
+
+SRC = str(Path(motorclass.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +87,23 @@ def _not_utf8_report(ds, tmp):
     return ["report", str(bad), "--out", str(tmp / "o")]
 
 
+def _report_at_newline_path(ds, tmp):
+    bad = tmp / "bad\nreport.json"
+    bad.write_text("{}")
+    return ["report", str(bad), "--out", str(tmp / "o")]
+
+
+def _config_at_newline_path(ds, tmp):
+    bad = tmp / "bad\ncfg.json"
+    bad.write_text("{")
+    return ["synth", "--config", str(bad), "--out", str(tmp / "o")]
+
+
+def _out_under_newline_file(ds, tmp):
+    (tmp / "f\nile").write_text("")
+    return ["features", str(ds / "manifest.json"), "--out", str(tmp / "f\nile" / "o")]
+
+
 def _unwritable_trial_file(ds, tmp):
     (tmp / "o" / "trial_0003.csv").mkdir(parents=True)
     return ["synth", "--n-per-side", "3", "--out", str(tmp / "o")]
@@ -108,6 +132,18 @@ ROWS = {
                                           "--out", str(tmp / "o")],
                          1, "usage error: cv.seed must be an integer"),
     "out_is_a_file": (_out_is_a_file, 1, "usage error: output directory "),
+    # a path is quoted, so a newline in it keeps the message on one line
+    "config_missing_newline_in_path": (lambda ds, tmp: ["synth", "--config",
+                                                        str(tmp / "no\ncfg.json"),
+                                                        "--out", str(tmp / "o")],
+                                       1, "usage error: config file not found: "
+                                          "'{tmp}/no\\ncfg.json'"),
+    "config_not_json_newline_in_path": (_config_at_newline_path, 1,
+                                        "usage error: config file '{tmp}/bad\\ncfg.json' is "
+                                        "not valid JSON: "),
+    "out_under_newline_file": (_out_under_newline_file, 1,
+                               "usage error: output directory '{tmp}/f\\nile/o' is not a "
+                               "directory"),
     "bad_classifier_missing_manifest": (lambda ds, tmp: ["evaluate", str(tmp / "none.json"),
                                                          "--classifiers", "bogus",
                                                          "--out", str(tmp / "o")],
@@ -183,8 +219,14 @@ ROWS = {
                               "data error: BadTrialFile (trial 2): 'bad.csv': 'utf-8' codec "
                               "can't decode byte 0xff in position 0"),
     "not_utf8_report": (_not_utf8_report, 2,
-                        "data error: BadReport: {tmp}/bad.json: 'utf-8' codec can't decode "
+                        "data error: BadReport: '{tmp}/bad.json': 'utf-8' codec can't decode "
                         "byte 0xff in position 0"),
+    "report_missing_newline_in_path": (lambda ds, tmp: ["report", str(tmp / "no\nsuch.json"),
+                                                        "--out", str(tmp / "o")],
+                                       2, "data error: MissingFile: '{tmp}/no\\nsuch.json'"),
+    "not_a_report_newline_in_path": (_report_at_newline_path, 2,
+                                     "data error: BadReport: '{tmp}/bad\\nreport.json' is not "
+                                     "an evaluate report"),
     # an OS error reading inputs or writing outputs gives the OS's text
     "unwritable_trial_file": (_unwritable_trial_file, 2,
                               "data error: [Errno 21] Is a directory: '{tmp}/o/trial_0003.csv'"),
@@ -226,3 +268,18 @@ def test_bare_value_error_is_a_bug_that_propagates(ds, tmp_path, monkeypatch):
         cli.main(["features", str(ds / "manifest.json"), "--out", str(tmp_path / "new" / "o")])
     # the output directory it created goes too, as for any failed command
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "ttest"])
+def test_header_only_trial_is_one_line(ds, tmp_path, command):
+    # a child process, so a warning printed by a pool worker is seen too
+    head = tmp_path / "head.csv"
+    head.write_text((ds / "trial_0002.csv").read_text().split("\n", 1)[0] + "\n")
+    argv = [command, _manifest(ds, tmp_path, t2={"file": str(head)})]
+    argv += ["--out", str(tmp_path / "o")] if command == "ttest" else []
+    proc = subprocess.run([sys.executable, "-m", "motorclass.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == cli.EXIT_DATA
+    assert proc.stderr == ("data error: BadSampleCount (trial 2): 'head.csv': 0 rows x 1 cols, "
+                           f"expected {dataset.TRIAL_SAMPLES} x {len(dataset.CHANNELS)}\n")

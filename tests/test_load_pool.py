@@ -1,9 +1,10 @@
 """load_dataset parses trial files in a pool of forked processes: it must give
 the samples and the first error of the sequential loop kept as
 oracles.load_dataset_reference, on one CPU or several, and no worker may
-outlive the call. Given a filter, the same workers also filter and PSD each
-trial: the feature matrix built from that load must equal the one the
-sequential loops give, bit for bit, and only each trial's rows may come back."""
+outlive the call. Built from TrialFiles, the feature matrix reads each trial
+in the worker that filters and PSDs it: it must equal the one the sequential
+loops give, bit for bit, only each trial's rows may come back, and the
+commands that featurize never read a trial file in the calling process."""
 
 import concurrent.futures
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import motorclass
-from motorclass import dataset, dsp, features
+from motorclass import cli, dataset, features
 from motorclass.dataset import DataError, SynthConfig, generate_synthetic, save_dataset
 from conftest import _RecordingPool
 from oracles import build_feature_matrix_reference, load_dataset_reference
@@ -54,6 +55,7 @@ DROP_ROW = _lines(lambda lines: lines.pop(-2))
 REVERSED_HEADER = _lines(
     lambda lines: lines.__setitem__(0, b",".join(lines[0].split(b",")[::-1])))
 NOT_UTF8_HEADER = _lines(lambda lines: lines.__setitem__(0, b"\xff" + lines[0]))
+HEADER_ONLY = _lines(lambda lines: lines.__delitem__(slice(1, None)))
 
 
 def _file(edit):
@@ -81,6 +83,7 @@ CASES = {
     "not_utf8_body": [(2, _file(NOT_UTF8_BODY))],
     "nan_cell": [(2, _file(NAN_CELL))],
     "nan_cell_before_missing_file": [(2, _file(NAN_CELL)), (4, _field(file="nope.csv"))],
+    "header_only": [(2, _file(HEADER_ONLY))],
 }
 
 
@@ -102,9 +105,9 @@ def _outcome(load, path):
         ds = load(path)
     except Exception as exc:
         return ("error", type(exc), str(exc), getattr(exc, "trial_id", None))
-    return ("ok", ds.subject_id, ds.filt,
+    return ("ok", ds.subject_id,
             [(t.trial_id, t.label, t.samples.dtype, t.samples.shape,
-              t.samples.flags.c_contiguous, t.samples.tobytes(), t.rows) for t in ds.trials])
+              t.samples.flags.c_contiguous, t.samples.tobytes()) for t in ds.trials])
 
 
 def _cpus(monkeypatch, n):
@@ -154,15 +157,18 @@ def test_fused_load_matches_sequential_reference(base, bp_filter, tmp_path, pool
         return [build_feature_matrix_reference(ds, bp_filter, scale) for scale in features.SCALES]
 
     def fused():
-        ds = dataset.load_dataset(path, bp_filter)
+        files = dataset.TrialFiles(path)
+        ds = dataset.Dataset(files.subject_id, files)
         return [features.build_feature_matrix(ds, bp_filter, scale) for scale in features.SCALES]
 
     expected = _fm_outcome(reference)
     pool_on(cpus)
     assert _fm_outcome(fused) == expected
     assert expected[0] == ("ok" if not edits else "error")
-    # one pool per load and build, none on one CPU
-    assert _RecordingPool.sizes in ([], [2] if cpus == 2 else [])
+    # one pool per build, each reading the files again; the first fault ends
+    # the first build; none on one CPU
+    builds = 2 if expected[0] == "ok" else 1
+    assert _RecordingPool.sizes == ([2] * builds if cpus == 2 else [])
     assert multiprocessing.active_children() == []
 
 
@@ -170,20 +176,34 @@ def test_fused_trials_send_back_rows_only(base, bp_filter, pool_on, monkeypatch)
     pool_on(2)
     monkeypatch.setattr(_SizingPool, "result_bytes", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SizingPool)
-    ds = dataset.load_dataset(base / "manifest.json", bp_filter)
-    assert ds.filt is bp_filter
-    assert all(t.samples is None for t in ds.trials)
-    assert {t.rows.shape for t in ds.trials} == {(dataset.EPOCHS_PER_TRIAL, features.N_FEATURES)}
+    files = dataset.TrialFiles(base / "manifest.json")
+    fm = features.build_feature_matrix(dataset.Dataset(files.subject_id, files), bp_filter)
+    assert fm.X.shape == (6 * dataset.EPOCHS_PER_TRIAL, features.N_FEATURES)
     # a trial's samples are 393,216 bytes and its rows 19,200
     assert len(_SizingPool.result_bytes) == 6
-    assert max(_SizingPool.result_bytes) < 2 * ds.trials[0].rows.nbytes
+    assert max(_SizingPool.result_bytes) < 2 * fm.X[:dataset.EPOCHS_PER_TRIAL].nbytes
 
 
-def test_rows_are_not_reused_under_another_filter(base, bp_filter):
-    ds = dataset.load_dataset(base / "manifest.json", bp_filter)
-    narrow = dsp.design_bandpass(dataset.FS, 8.0, 30.0, 1691)
-    with pytest.raises(ValueError, match="made under another filter"):
-        features.build_feature_matrix(ds, narrow)
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
+@pytest.mark.parametrize("command", ["features", "ttest", "evaluate"])
+def test_each_file_is_read_once_and_by_a_worker(base, tmp_path, pool_on, monkeypatch, command,
+                                                cpus):
+    """A loop over TrialFiles in the calling process (Dataset.count, make_folds)
+    would read every file again there."""
+    log, read = tmp_path / "reads.log", dataset._read_trial
+
+    def spy(entry):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {entry[2].name}\n")
+        return read(entry)
+
+    monkeypatch.setattr(dataset, "_read_trial", spy)
+    pool_on(cpus)
+    assert cli.main([command, str(base / "manifest.json"), "--out", str(tmp_path / "o")]) == 0
+    reads = [line.split(" ") for line in log.read_text().splitlines()]
+    assert sorted(name for _, name in reads) == [f"trial_{i:04d}.csv" for i in range(6)]
+    callers = {int(pid) for pid, _ in reads}
+    assert (callers == {os.getpid()}) if cpus == 1 else (os.getpid() not in callers)
 
 
 def test_reference_reads_the_saved_samples(base):
