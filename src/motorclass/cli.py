@@ -1,12 +1,12 @@
 """Command-line front end: synth, validate, features, ttest, evaluate, report.
-JSON config with flag overrides; exit codes 0 ok, 1 usage, 2 data, 3 numeric."""
+JSON config with flag overrides; exit codes 0 ok, 1 usage, 2 data, 3 numeric,
+4 system (a worker process could not start or died)."""
 
 from __future__ import annotations
 
 import argparse
 import copy
 import dataclasses
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -19,6 +19,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_SYSTEM = 4
 
 # the config schema: every key with its default, whose type sets the values
 # the key takes (_TYPES)
@@ -81,12 +82,13 @@ def _merge_config(path) -> dict:
     if path is None:
         return cfg
     try:
-        user = json.loads(Path(path).read_text())
+        user = dataset.read_json(path, "BadConfig")
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {str(path)!r}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {str(path)!r} is not valid JSON: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except dataset.DataError as exc:
+        raise UsageError(f"config file {str(path)!r} is not valid JSON: "
+                         f"{exc.__cause__}") from exc
+    except OSError as exc:
         raise UsageError(f"config file {str(path)!r}: {exc}") from exc
     if not isinstance(user, dict):
         raise UsageError("config root must be a JSON object")
@@ -173,13 +175,24 @@ def cmd_synth(args, cfg, out) -> None:
 
 
 def cmd_validate(args, cfg, out) -> None:
-    ds = dataset.load_dataset(args.manifest)
-    msg = (f"ok: {len(ds.trials)} trials ({ds.count(dataset.RIGHT)} right, "
-           f"{ds.count(dataset.LEFT)} left), {len(dataset.CHANNELS)} channels, fs={dataset.FS}")
-    if args.amplitude_check:
-        limit = args.amplitude_threshold or 200.0   # uV
-        flagged = sum(int((np.abs(dsp.epoch_trial(trial.samples)).max(axis=(1, 2)) > limit).sum())
-                      for trial in ds.trials)
+    # each trial is read and summed up in a worker: its label, and under
+    # --amplitude-check its count of epochs above the limit
+    limit = (args.amplitude_threshold or 200.0) if args.amplitude_check else None   # uV
+
+    def summary(trial):
+        if limit is None:
+            return trial.label, 0
+        peaks = np.abs(dsp.epoch_trial(trial.samples)).max(axis=(1, 2))
+        return trial.label, int((peaks > limit).sum())
+
+    counts = {dataset.RIGHT: 0, dataset.LEFT: 0}
+    flagged = 0
+    for label, n in dataset.fork_map(summary, dataset.TrialFiles(args.manifest)):
+        counts[label] += 1
+        flagged += n
+    msg = (f"ok: {sum(counts.values())} trials ({counts[dataset.RIGHT]} right, "
+           f"{counts[dataset.LEFT]} left), {len(dataset.CHANNELS)} channels, fs={dataset.FS}")
+    if limit is not None:
         msg += f", {flagged} epoch(s) above {limit:g} uV"
     print(msg)
 
@@ -332,6 +345,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except dataset.PoolError as exc:
+        print(f"system error: {exc}", file=sys.stderr)
+        return EXIT_SYSTEM
 
 
 if __name__ == "__main__":

@@ -58,6 +58,11 @@ class DataError(ValueError):
         return type(self), (self.code, self.message, self.trial_id)
 
 
+class PoolError(RuntimeError):
+    """fork_map's worker processes could not start, or one of them died before
+    it finished, as when the system kills it for lack of memory; the CLI's exit 4."""
+
+
 @dataclass
 class Trial:
     trial_id: int
@@ -69,9 +74,6 @@ class Trial:
 class Dataset:
     subject_id: str
     trials: Sequence  # a list, or SyntheticTrials or TrialFiles, which make trial i when indexed
-
-    def count(self, label: int) -> int:
-        return sum(1 for t in self.trials if t.label == label)
 
 
 @dataclass(frozen=True)
@@ -237,6 +239,16 @@ def write_json(path, obj) -> Path:
     return path
 
 
+def read_json(path, code: str):
+    """The package's one JSON reader: the value in the file at path. A file
+    that is not UTF-8, is not JSON, or nests deeper than the parser's stack
+    is one DataError(code) that names the file; OSError passes through."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise DataError(code, f"{str(path)!r}: {exc}") from exc
+
+
 def _write_trial(out: Path, trial: Trial) -> dict:
     """Write one trial's samples to out/trial_XXXX.csv; returns its manifest entry."""
     name = f"trial_{trial.trial_id:04d}.csv"
@@ -257,7 +269,7 @@ def save_dataset(dataset: Dataset, out_dir) -> Path:
     updated, and files for later trials may exist where the loop would not
     have written them."""
     out = Path(out_dir)
-    entries = fork_map(lambda trial: _write_trial(out, trial), dataset.trials)
+    entries = list(fork_map(lambda trial: _write_trial(out, trial), dataset.trials))
     manifest = write_json(out / "manifest.json", {
         "subject_id": dataset.subject_id,
         "fs": FS,
@@ -338,15 +350,21 @@ def _run_job(i):
     return fn(items[i])
 
 
-def fork_map(fn, items) -> list:
-    """[fn(x) for x in items], in order, computed in up to one forked process
-    per available CPU; with fewer than 2 workers it is the builtin map in the
-    calling process. Workers read items only by index, so a sequence that
-    makes each item when indexed (SyntheticTrials, TrialFiles) makes it where
-    it is used; the builtin map makes one at a time. The first failing item's
-    exception is raised, as a sequential loop would raise it. Items go in
-    chunks of about a quarter of each worker's share, as Pool.map sends them,
-    because one task per item costs the parent a wake-up per result.
+def fork_map(fn, items):
+    """Yields fn(x) for each x in items, in item order, computed in up to one
+    forked process per available CPU; with fewer than 2 workers it is the
+    builtin map in the calling process. Callers consume the results in order
+    as they arrive, so one that stores each result and drops it never holds
+    them all; one that needs a list calls list(). Workers read items only by
+    index, so a sequence that makes each item when indexed (SyntheticTrials,
+    TrialFiles) makes it where it is used; the builtin map makes one at a
+    time. The first failing item's exception is raised, as a sequential loop
+    would raise it; a pool that cannot start, or a worker that dies, raises
+    PoolError. Once the generator is exhausted or closed, as when its consumer
+    stops early, its pending items are cancelled and its workers have exited.
+    Items go in chunks of about a quarter of each worker's share, as Pool.map
+    sends them, because one task per item costs the parent a wake-up per
+    result.
 
     Neither fn nor the items are pickled, so fn may be a closure: each forked
     worker inherits the pair as its initializer's arguments, puts it in its
@@ -359,23 +377,38 @@ def fork_map(fn, items) -> list:
     starts its own thread."""
     workers = min(len(os.sched_getaffinity(0)), len(items))
     if workers < 2:
-        return list(map(fn, items))
+        yield from map(fn, items)
+        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_set_job, initargs=(fn, items)) as pool:
-        return list(pool.map(_run_job, range(len(items)),
-                             chunksize=-(-len(items) // (4 * workers))))
+    from concurrent.futures.process import BrokenProcessPool
+    pool = None
+    try:
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_set_job, initargs=(fn, items))
+        # the first chunk's submit forks every worker
+        results = pool.map(_run_job, range(len(items)),
+                           chunksize=-(-len(items) // (4 * workers)))
+    except OSError as exc:   # no pipe or no fork, as at the process limit
+        # the workers forked before the failure wait for a task that never
+        # comes, and no shutdown reaches them
+        for proc in getattr(pool, "_processes", {}).values():
+            proc.kill()
+            proc.join()
+        raise PoolError(f"could not start {workers} worker processes: {exc}") from exc
+    with pool:
+        try:
+            yield from results
+        except BrokenProcessPool as exc:
+            raise PoolError("a worker process died before it finished, as when the system "
+                            "kills it for lack of memory") from exc
 
 
 def _manifest(path: Path) -> dict:
     """The manifest at path, checked up to its trial entries."""
     if not path.exists():
         raise DataError("MissingFile", repr(str(path)))
-    try:
-        manifest = json.loads(path.read_text())
-    except ValueError as exc:
-        raise DataError("BadManifest", f"{str(path)!r}: {exc}") from exc
+    manifest = read_json(path, "BadManifest")
     if not isinstance(manifest, dict):
         raise DataError("BadManifest", f"manifest must be an object, got {type(manifest).__name__}")
     for key in ("subject_id", "fs", "channels", "trials"):
@@ -429,4 +462,4 @@ def load_dataset(manifest_path) -> Dataset:
     """The dataset a manifest lists, every trial read through fork_map and
     held in memory; raises the DataError that TrialFiles reports first."""
     files = TrialFiles(manifest_path)
-    return Dataset(files.subject_id, fork_map(lambda trial: trial, files))
+    return Dataset(files.subject_id, list(fork_map(lambda trial: trial, files)))

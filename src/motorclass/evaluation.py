@@ -3,14 +3,14 @@ confusion-matrix metrics, and per-classifier mean/std reports."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import classifiers, dsp, features, fusion
-from .dataset import FS, LEFT, RIGHT, DataError, Dataset, stratified_positions, write_csv
+from .dataset import (FS, LEFT, RIGHT, DataError, Dataset, read_json, stratified_positions,
+                      write_csv)
 
 FOLD_K = 3
 REPORT_ORDER = (*classifiers.MODEL_KINDS, "Rule")
@@ -197,10 +197,7 @@ def load_report(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise DataError("MissingFile", repr(str(path)))
-    try:
-        report = json.loads(path.read_text())
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise DataError("BadReport", f"{str(path)!r}: {exc}") from exc
+    report = read_json(path, "BadReport")
     counts = {f.name for f in fields(ConfusionMatrix)}
 
     def is_row(entry):

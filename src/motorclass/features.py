@@ -47,18 +47,21 @@ def build_feature_matrix(dataset: Dataset, filt: dsp.FirFilter,
 
     Each trial goes through dsp._trial_rows in dataset.fork_map, and only its
     id, label and rows come back from a worker; a sequence that makes trial i
-    when indexed (TrialFiles, SyntheticTrials) makes it in that worker. Row
-    order is (trial order in the dataset, epoch index). With scale="db" the
-    300 values are reported as dB (10 log10) rather than linear density.
+    when indexed (TrialFiles, SyntheticTrials) makes it in that worker. Each
+    trial's rows are written into X as they arrive, so the caller holds one
+    copy of them. Row order is (trial order in the dataset, epoch index). With
+    scale="db" the 300 values are reported as dB (10 log10) rather than linear
+    density.
     """
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
-    results = fork_map(lambda t: (t.trial_id, t.label, dsp._trial_rows(filt, t.samples)),
-                       dataset.trials)
-    X = np.empty((len(results) * EPOCHS_PER_TRIAL, N_FEATURES))
-    y = np.empty(len(results) * EPOCHS_PER_TRIAL, dtype=int)
+    n_rows = len(dataset.trials) * EPOCHS_PER_TRIAL
+    X = np.empty((n_rows, N_FEATURES))
+    y = np.empty(n_rows, dtype=int)
     trial_ids = np.empty_like(y)
     epoch_idx = np.empty_like(y)
+    results = fork_map(lambda t: (t.trial_id, t.label, dsp._trial_rows(filt, t.samples)),
+                       dataset.trials)
     for i, (trial_id, label, rows) in enumerate(results):
         sl = slice(i * EPOCHS_PER_TRIAL, (i + 1) * EPOCHS_PER_TRIAL)
         X[sl] = rows

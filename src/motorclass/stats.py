@@ -133,11 +133,11 @@ def paired_t(x, y) -> TTestResult:
     return TTestResult(t=t, df=n - 1, p=t_pvalue(t, n - 1))
 
 
-def _ordered_rows(fm: FeatureMatrix, label: int) -> np.ndarray:
-    """Rows of one label sorted by (trial_id, epoch): acquisition-rank order."""
-    mask = fm.y == label
-    order = np.lexsort((fm.epochs[mask], fm.trial_ids[mask]))
-    return fm.X[mask][order]
+def _ranked_rows(fm: FeatureMatrix, label: int) -> np.ndarray:
+    """Positions in fm.X of one label's rows, sorted by (trial_id, epoch):
+    acquisition-rank order."""
+    rows = np.flatnonzero(fm.y == label)
+    return rows[np.lexsort((fm.epochs[rows], fm.trial_ids[rows]))]
 
 
 def _trial_means(rows: np.ndarray) -> np.ndarray:
@@ -152,16 +152,20 @@ def significance_map(fm: FeatureMatrix, alpha: float = DEFAULT_ALPHA,
     level="epoch" pairs individual epoch rows (the default); level="trial"
     first averages each trial's 8 epochs. Unequal per-label counts are an
     error: every right row needs a left partner of the same rank.
+
+    The rows are read from fm.X by position, a column or one side at a time,
+    so no full copy of either side is held; the trial means, an eighth of the
+    rows, are held as a table of their own.
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
-    right = _ordered_rows(fm, RIGHT)
-    left = _ordered_rows(fm, LEFT)
+    X, right, left = fm.X, _ranked_rows(fm, RIGHT), _ranked_rows(fm, LEFT)
     if len(right) == 0 or len(left) == 0:
         raise DataError("OneLabel", "significance_map needs rows of both labels")
     if level == "trial":
-        right = _trial_means(right)
-        left = _trial_means(left)
+        X = np.concatenate([_trial_means(X[right]), _trial_means(X[left])])
+        n_right = len(right) // EPOCHS_PER_TRIAL
+        right, left = np.arange(n_right), np.arange(n_right, len(X))
     if len(right) != len(left):
         raise DataError("UnequalCounts", "the rank-paired t-test needs equal right/left "
                         f"counts, got {len(right)} right and {len(left)} left")
@@ -169,12 +173,12 @@ def significance_map(fm: FeatureMatrix, alpha: float = DEFAULT_ALPHA,
     n_ch, n_bins = len(CHANNELS), dsp.PSD_BINS
     t = np.empty((n_ch, n_bins))
     p = np.empty((n_ch, n_bins))
-    for j in range(right.shape[1]):
-        res = paired_t(right[:, j], left[:, j])
+    for j in range(X.shape[1]):
+        res = paired_t(X[right, j], X[left, j])
         t[j // n_bins, j % n_bins] = res.t
         p[j // n_bins, j % n_bins] = res.p
-    mean_r = right.mean(axis=0).reshape(n_ch, n_bins)
-    mean_l = left.mean(axis=0).reshape(n_ch, n_bins)
+    mean_r = X[right].mean(axis=0).reshape(n_ch, n_bins)
+    mean_l = X[left].mean(axis=0).reshape(n_ch, n_bins)
     return SignificanceMap(t=t, p=p, delta=mean_r - mean_l,
                            significant=p < alpha, alpha=alpha,
                            mean_right=mean_r, mean_left=mean_l)

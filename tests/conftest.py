@@ -1,15 +1,44 @@
 """Shared fixtures. The Monte-Carlo style results (multi-seed generation runs,
 cross-validation sweeps) are computed once per session and reused by both the
 module tests and the acceptance gate. pool_on and its _RecordingPool are the
-one spy on the process pools that dataset.fork_map makes."""
+one spy on the process pools that dataset.fork_map makes; cli_peak_mib reads
+a CLI child's peak memory."""
 
 import concurrent.futures
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import motorclass
 from motorclass import classifiers, dataset, dsp, evaluation, features, stats
+
+SRC = str(Path(motorclass.__file__).resolve().parents[1])
+
+# spawned from a fresh, small interpreter: Linux starts a program's peak-RSS
+# count at that of the process that spawns it, and pytest's can be far larger
+_PEAK = """
+import os, sys
+argv = [sys.executable, "-m", "motorclass.cli", *sys.argv[1:]]
+actions = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=actions)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def cli_peak_mib(argv) -> float:
+    """Peak RSS in MiB, read with wait4, of one `motorclass` CLI child that
+    must exit 0."""
+    done = subprocess.run([sys.executable, "-c", _PEAK, *map(str, argv)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    return peak_kib / 1024
 
 
 class _RecordingPool(concurrent.futures.ProcessPoolExecutor):

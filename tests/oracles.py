@@ -4,10 +4,10 @@ Everything here is deliberately slow and simple: quadratic-time DFT, direct
 tap-by-tap frequency response and convolution, a periodogram built on the
 quadratic-time DFT, adaptive quadrature of the t density, one Pegasos step
 at a time, every synthetic trial drawn in turn from one generator, one trial
-file read or written after another, one trial's
-features after another, a rule ensemble that predicts the test rows a second
-time. These are built and self-tested before the fast implementations they
-vet.
+file read or written after another, one trial's features after another, a
+t-test map on sorted copies of each side's rows, a rule ensemble that
+predicts the test rows a second time. These are built and self-tested before
+the fast implementations they vet.
 """
 
 import dataclasses
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from motorclass import classifiers as cl
-from motorclass import dsp, evaluation, features, fusion
+from motorclass import dsp, evaluation, features, fusion, stats
 from motorclass.dataset import (_MICROVOLT_SCALE, CHANNELS, EPOCH_SAMPLES, EPOCHS_PER_TRIAL,
                                 FS, GEN_BAND_HZ, LEFT, RIGHT, TRIAL_SAMPLES, DataError,
                                 Dataset, Trial, _line_shares, _mirror_boost_channels,
@@ -196,10 +196,26 @@ def load_dataset_reference(manifest_path) -> Dataset:
             raise DataError("NonFinite", f"{fpath.name!r} contains non-finite samples",
                             trial_id=tid)
         trials.append(Trial(trial_id=tid, label=label, samples=np.ascontiguousarray(table.T)))
-    ds = Dataset(subject_id=manifest["subject_id"], trials=trials)
-    if ds.count(RIGHT) != ds.count(LEFT):
-        warnings.warn(f"imbalanced dataset: {ds.count(RIGHT)} right vs {ds.count(LEFT)} left")
-    return ds
+    right = sum(t.label == RIGHT for t in trials)
+    left = len(trials) - right
+    if right != left:
+        warnings.warn(f"imbalanced dataset: {right} right vs {left} left")
+    return Dataset(subject_id=manifest["subject_id"], trials=trials)
+
+
+def validate_reference(manifest_path, limit=None) -> str:
+    """The line cli.cmd_validate printed when it loaded every trial before it
+    counted: the side counts and, with an amplitude limit, the epochs whose
+    peak magnitude lies above it."""
+    ds = load_dataset_reference(manifest_path)
+    right = sum(t.label == RIGHT for t in ds.trials)
+    line = (f"ok: {len(ds.trials)} trials ({right} right, {len(ds.trials) - right} left), "
+            f"{len(CHANNELS)} channels, fs={FS}")
+    if limit is not None:
+        flagged = sum(int((np.abs(dsp.epoch_trial(t.samples)).max(axis=(1, 2)) > limit).sum())
+                      for t in ds.trials)
+        line += f", {flagged} epoch(s) above {limit:g} uV"
+    return line
 
 
 def build_feature_matrix_reference(dataset, filt, scale: str = "linear"):
@@ -228,6 +244,39 @@ def build_feature_matrix_reference(dataset, filt, scale: str = "linear"):
     if not np.all(np.isfinite(X)):
         raise dsp.DspError("feature matrix contains non-finite values")
     return features.FeatureMatrix(X=X, y=y, trial_ids=trial_ids, epochs=epoch_idx)
+
+
+def significance_map_reference(fm, alpha: float = 0.05, level: str = "epoch"):
+    """stats.significance_map as it was written before it read rows by
+    position: each label's rows are copied out of X, sorted by (trial_id,
+    epoch), and every test and mean runs on those copies."""
+    def ordered_rows(label):
+        mask = fm.y == label
+        order = np.lexsort((fm.epochs[mask], fm.trial_ids[mask]))
+        return fm.X[mask][order]
+
+    def trial_means(rows):
+        return rows.reshape(-1, EPOCHS_PER_TRIAL, rows.shape[1]).mean(axis=1)
+
+    right, left = ordered_rows(RIGHT), ordered_rows(LEFT)
+    if len(right) == 0 or len(left) == 0:
+        raise DataError("OneLabel", "significance_map needs rows of both labels")
+    if level == "trial":
+        right, left = trial_means(right), trial_means(left)
+    if len(right) != len(left):
+        raise DataError("UnequalCounts", "the rank-paired t-test needs equal right/left "
+                        f"counts, got {len(right)} right and {len(left)} left")
+    n_ch, n_bins = len(CHANNELS), dsp.PSD_BINS
+    t = np.empty((n_ch, n_bins))
+    p = np.empty((n_ch, n_bins))
+    for j in range(right.shape[1]):
+        res = stats.paired_t(right[:, j], left[:, j])
+        t[j // n_bins, j % n_bins] = res.t
+        p[j // n_bins, j % n_bins] = res.p
+    mean_r = right.mean(axis=0).reshape(n_ch, n_bins)
+    mean_l = left.mean(axis=0).reshape(n_ch, n_bins)
+    return stats.SignificanceMap(t=t, p=p, delta=mean_r - mean_l, significant=p < alpha,
+                                 alpha=alpha, mean_right=mean_r, mean_left=mean_l)
 
 
 def generate_synthetic_reference(config) -> Dataset:

@@ -31,7 +31,8 @@ class TestGenerate:
     def test_counts_and_labels(self):
         ds = generate_synthetic(SynthConfig(n_trials_per_side=3, seed=1))
         assert len(ds.trials) == 6
-        assert ds.count(RIGHT) == 3 and ds.count(LEFT) == 3
+        labels = [t.label for t in ds.trials]
+        assert labels.count(RIGHT) == labels.count(LEFT) == 3
 
     def test_single_trial_per_side(self):
         ds = generate_synthetic(SynthConfig(n_trials_per_side=1, seed=2))

@@ -1,11 +1,16 @@
 """One exit code per kind of fault: each row of the README exit-code table, and
 each data fault a user can cause, ends the CLI with its code and one stderr
 line (besides warnings) that names the fault, never with a traceback; a
-usage error makes no output directory; an exception of any other kind is a
-bug and propagates out of cli.main."""
+usage error makes no output directory; a worker pool that cannot start or
+loses a worker is exit 4; an exception of any other kind is a bug and
+propagates out of cli.main."""
 
+import concurrent.futures
+import errno
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +109,13 @@ def _out_under_newline_file(ds, tmp):
     return ["features", str(ds / "manifest.json"), "--out", str(tmp / "f\nile" / "o")]
 
 
+def _nested(tmp):
+    """A JSON file that nests deeper than the parser's stack."""
+    path = tmp / "deep.json"
+    path.write_text("[" * 100_000)
+    return str(path)
+
+
 def _unwritable_trial_file(ds, tmp):
     (tmp / "o" / "trial_0003.csv").mkdir(parents=True)
     return ["synth", "--n-per-side", "3", "--out", str(tmp / "o")]
@@ -141,6 +153,10 @@ ROWS = {
     "config_not_json_newline_in_path": (_config_at_newline_path, 1,
                                         "usage error: config file '{tmp}/bad\\ncfg.json' is "
                                         "not valid JSON: "),
+    "nested_config": (lambda ds, tmp: ["synth", "--config", _nested(tmp),
+                                       "--out", str(tmp / "o")],
+                      1, "usage error: config file '{tmp}/deep.json' is not valid JSON: "
+                         "maximum recursion depth exceeded"),
     "out_under_newline_file": (_out_under_newline_file, 1,
                                "usage error: output directory '{tmp}/f\\nile/o' is not a "
                                "directory"),
@@ -187,6 +203,12 @@ ROWS = {
                            2, "data error: BadManifest: manifest must be an object"),
     "bad_label": (lambda ds, tmp: ["validate", _manifest(ds, tmp, t1={"label": 3})],
                   2, "data error: BadLabel (trial 1): label=3"),
+    "nested_manifest": (lambda ds, tmp: ["validate", _nested(tmp)],
+                        2, "data error: BadManifest: '{tmp}/deep.json': maximum recursion "
+                           "depth exceeded"),
+    "nested_report": (lambda ds, tmp: ["report", _nested(tmp), "--out", str(tmp / "o")],
+                      2, "data error: BadReport: '{tmp}/deep.json': maximum recursion depth "
+                         "exceeded"),
     # data faults raised where they arise
     "too_few_trials_per_side": (lambda ds, tmp: ["evaluate", _manifest(ds, tmp, _per_side(2)),
                                                  "--out", str(tmp / "o")],
@@ -257,6 +279,34 @@ def test_exit_code_and_one_line(request, tmp_path, capsys, row):
         assert errors[0].startswith(prefix.format(tmp=tmp_path)), err
     if code == cli.EXIT_USAGE:   # found before the first write, so no --out is made
         assert not (tmp_path / "o").exists()
+
+
+# README: 4 system error, a worker process that could not start or died
+@pytest.mark.parametrize("command", ["validate", "ttest"])
+@pytest.mark.parametrize("fault", ["cannot_start", "worker_killed"])
+def test_pool_fault_is_exit_4_and_one_line(ds, tmp_path, capsys, pool_on, monkeypatch, fault,
+                                           command):
+    if fault == "cannot_start":
+        def no_pool(*args, **kwargs):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        prefix = "system error: could not start 2 worker processes: [Errno 11] "
+    else:
+        parent, read = os.getpid(), dataset._read_trial
+
+        def read_or_die(entry):
+            if entry[0] == 3 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)   # as the out-of-memory killer would
+            return read(entry)
+        monkeypatch.setattr(dataset, "_read_trial", read_or_die)
+        prefix = "system error: a worker process died before it finished"
+    pool_on(2)
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+    assert cli.main([command, str(ds / "manifest.json"), *out]) == cli.EXIT_SYSTEM
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_bare_value_error_is_a_bug_that_propagates(ds, tmp_path, monkeypatch):

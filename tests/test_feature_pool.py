@@ -1,22 +1,32 @@
 """build_feature_matrix filters and PSDs trials in dataset.fork_map's pool of
 forked processes: it must give the bytes of the sequential loop kept as
-oracles.build_feature_matrix_reference on one CPU or several, and fork_map
-must keep item order, pickle neither its function nor its items, raise the
-first failing item's exception and leave no worker or job behind."""
+oracles.build_feature_matrix_reference on one CPU or several, and drop each
+trial's rows once they are written into the matrix; fork_map must keep item
+order, pickle neither its function nor its items, raise the first failing
+item's exception, turn a pool that cannot start or a worker that dies into
+one PoolError, and leave no worker or job behind, also when its consumer
+stops early."""
 
+import concurrent.futures
+import contextlib
+import errno
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
+import weakref
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 import pytest
 
 import motorclass
 from motorclass import dataset, dsp
-from motorclass.dataset import DataError, SynthConfig, fork_map, generate_synthetic, save_dataset
+from motorclass.dataset import (DataError, PoolError, SynthConfig, fork_map, generate_synthetic,
+                                save_dataset)
 from motorclass.features import build_feature_matrix
 from conftest import _RecordingPool
 from oracles import build_feature_matrix_reference
@@ -46,17 +56,40 @@ def test_matches_sequential_reference(six, bp_filter, pool_on, cpus, n_trials, s
     assert multiprocessing.active_children() == []
 
 
+class _AlivePool(_RecordingPool):
+    """Counts, as each result is handed back, the earlier results' rows that
+    are still alive."""
+    alive = []
+
+    def map(self, fn, *iterables, **kwargs):
+        refs = []
+        for result in super().map(fn, *iterables, **kwargs):
+            refs.append(weakref.ref(result[2]))
+            self.alive.append(sum(ref() is not None for ref in refs[:-1]))
+            yield result
+
+
+def test_each_trials_rows_are_dropped_once_written(six, bp_filter, pool_on, monkeypatch):
+    pool_on(2)
+    monkeypatch.setattr(_AlivePool, "alive", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _AlivePool)
+    fm = build_feature_matrix(six, bp_filter)
+    assert fm.n_rows == 6 * dataset.EPOCHS_PER_TRIAL
+    # only the previous trial's rows, still bound to the loop's variables
+    assert _AlivePool.alive == [0] + [1] * 5
+
+
 class TestForkMap:
     @pytest.mark.parametrize("cpus", [1, 2, 3], ids=["one_cpu", "two_cpus", "three_cpus"])
     def test_keeps_item_order(self, pool_on, cpus):
         pool_on(cpus)
         for n in (9, 50):  # chunks of 1 or 2 items, then of 5 or 7
-            assert fork_map(lambda x: x * x, list(range(n))) == [x * x for x in range(n)]
+            assert list(fork_map(lambda x: x * x, list(range(n)))) == [x * x for x in range(n)]
         assert _RecordingPool.sizes == ([] if cpus == 1 else [cpus, cpus])
 
     def test_single_item_runs_in_the_calling_process(self, pool_on):
         pool_on(2)
-        assert fork_map(lambda x: os.getpid(), [0]) == [os.getpid()]
+        assert list(fork_map(lambda x: os.getpid(), [0])) == [os.getpid()]
         assert _RecordingPool.sizes == []
 
     def test_runs_a_closure_it_cannot_pickle(self, six, bp_filter, pool_on):
@@ -67,9 +100,9 @@ class TestForkMap:
             pickle.dumps(fn)
         items = [t.samples for t in six.trials[:4]]
         pool_on(2)
-        got = fork_map(fn, items)
+        got = list(fork_map(fn, items))
         assert [a.tobytes() for a in got] == [fn(x).tobytes() for x in items]
-        assert os.getpid() not in fork_map(lambda x: os.getpid(), items)
+        assert os.getpid() not in list(fork_map(lambda x: os.getpid(), items))
         assert _RecordingPool.sizes == [2, 2]
         assert dataset._JOB is None
         assert multiprocessing.active_children() == []
@@ -87,7 +120,7 @@ class TestForkMap:
 
         pool_on(cpus)
         with pytest.raises(DataError) as err:
-            fork_map(fn, list(range(n_items)))
+            list(fork_map(fn, list(range(n_items))))
         assert (type(err.value), str(err.value)) == (DataError, "BadItem (trial 2): item 2 is bad")
         assert dataset._JOB is None
         assert multiprocessing.active_children() == []
@@ -95,8 +128,58 @@ class TestForkMap:
 
     def test_job_is_cleared_after_success(self, pool_on):
         pool_on(2)
-        assert fork_map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
+        assert list(fork_map(lambda x: x + 1, [1, 2, 3])) == [2, 3, 4]
         assert dataset._JOB is None
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("stop", ["break", "raise"])
+    def test_consumer_that_stops_early_leaves_no_process(self, pool_on, stop):
+        pool_on(2)
+        got = []
+        with contextlib.suppress(KeyError):
+            for x in fork_map(lambda x: x, list(range(24))):
+                got.append(x)
+                if x == 2 and stop == "break":
+                    break
+                if x == 2:
+                    raise KeyError(x)
+        assert got == [0, 1, 2]
+        assert _RecordingPool.sizes == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_a_pool_error(self, pool_on):
+        parent = os.getpid()
+
+        def fn(x):
+            if x == 3 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)   # as the out-of-memory killer would
+            return x
+
+        pool_on(2)
+        with pytest.raises(PoolError, match="^a worker process died before it finished"):
+            list(fork_map(fn, list(range(8))))
+        assert _RecordingPool.sizes == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fails", ["pool", "second_fork"])
+    def test_pool_that_cannot_start_is_a_pool_error(self, pool_on, monkeypatch, fails):
+        eagain = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        if fails == "pool":
+            def no_pool(*args, **kwargs):
+                raise eagain
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        else:   # the first worker is forked and waits for a task
+            start = BaseProcess.start
+
+            def start_one(process):
+                if multiprocessing.active_children():
+                    raise eagain
+                start(process)
+            monkeypatch.setattr(BaseProcess, "start", start_one)
+        pool_on(2)
+        with pytest.raises(PoolError) as err:
+            list(fork_map(lambda x: x, list(range(8))))
+        assert str(err.value) == f"could not start 2 worker processes: {eagain}"
         assert multiprocessing.active_children() == []
 
 

@@ -185,11 +185,11 @@ def test_fused_trials_send_back_rows_only(base, bp_filter, pool_on, monkeypatch)
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
-@pytest.mark.parametrize("command", ["features", "ttest", "evaluate"])
+@pytest.mark.parametrize("command", ["validate", "features", "ttest", "evaluate"])
 def test_each_file_is_read_once_and_by_a_worker(base, tmp_path, pool_on, monkeypatch, command,
                                                 cpus):
-    """A loop over TrialFiles in the calling process (Dataset.count, make_folds)
-    would read every file again there."""
+    """A loop over TrialFiles in the calling process (a label count,
+    make_folds) would read every file again there."""
     log, read = tmp_path / "reads.log", dataset._read_trial
 
     def spy(entry):
@@ -199,7 +199,8 @@ def test_each_file_is_read_once_and_by_a_worker(base, tmp_path, pool_on, monkeyp
 
     monkeypatch.setattr(dataset, "_read_trial", spy)
     pool_on(cpus)
-    assert cli.main([command, str(base / "manifest.json"), "--out", str(tmp_path / "o")]) == 0
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+    assert cli.main([command, str(base / "manifest.json"), *out]) == 0
     reads = [line.split(" ") for line in log.read_text().splitlines()]
     assert sorted(name for _, name in reads) == [f"trial_{i:04d}.csv" for i in range(6)]
     callers = {int(pid) for pid, _ in reads}
@@ -241,7 +242,7 @@ def test_cli_import_leaves_out_the_pool_modules():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, motorclass.cli; "
-         "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"],
+         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -8,8 +8,11 @@ import pytest
 
 from motorclass.classifiers import TrainConfig
 from motorclass.dataset import CHANNEL_INDEX, LEFT, RIGHT, SynthConfig
+from motorclass.features import FeatureMatrix
+from motorclass.stats import paired_t
 from oracles import (brute_dft, direct_fir, freq_response, generate_synthetic_reference,
-                     pegasos_reference, periodogram_psd, t_two_tailed_p)
+                     pegasos_reference, periodogram_psd, significance_map_reference,
+                     t_two_tailed_p)
 
 
 def test_brute_dft_impulse():
@@ -129,3 +132,28 @@ def test_pegasos_two_steps_by_hand(seed, b):
                                  TrainConfig(svm_epochs=1, seed=seed))
     assert list(w) == [1.5]
     assert got_b == b
+
+
+def test_significance_map_reference_pairs_by_rank():
+    """Rows given in any order pair by (trial_id, epoch): each cell's t is
+    paired_t of the two sides' columns sorted by hand, and each side's mean
+    is its column mean."""
+    rng = np.random.default_rng(21)
+    keys = [(label, tid, ep) for label, tids in ((RIGHT, (4, 1)), (LEFT, (3, 0)))
+            for tid in tids for ep in range(8)]
+    X = rng.normal(size=(len(keys), 300)) ** 2
+    perm = rng.permutation(len(keys))
+    fm = FeatureMatrix(X=X[perm], y=np.array([keys[i][0] for i in perm]),
+                       trial_ids=np.array([keys[i][1] for i in perm]),
+                       epochs=np.array([keys[i][2] for i in perm]))
+    smap = significance_map_reference(fm)
+    def ranked(label):
+        order = sorted((tid, ep, i) for i, (lab, tid, ep) in enumerate(keys) if lab == label)
+        return X[[i for _, _, i in order]]
+
+    side = {label: ranked(label) for label in (RIGHT, LEFT)}
+    for j in (0, 137, 299):
+        assert smap.t.flat[j] == paired_t(side[RIGHT][:, j], side[LEFT][:, j]).t
+    assert np.allclose(smap.mean_right.ravel(), side[RIGHT].mean(axis=0), rtol=1e-12, atol=0)
+    assert np.allclose(smap.delta.ravel(), side[RIGHT].mean(axis=0) - side[LEFT].mean(axis=0),
+                       rtol=1e-12, atol=1e-15)

@@ -13,6 +13,7 @@ ALLOWED = {
     "error": "argparse calls _Parser.error itself on a bad command line",
     "fft": "the checked 1-D FFT that acceptance criterion 2 holds to its oracle",
     "generate_synthetic": "the in-memory dataset that the benchmark and the test fixtures make",
+    "load_dataset": "the eager loader that the benchmark's synth reload check and the tests call",
     "make_folds": "the trial-level fold plan that acceptance criterion 8 checks",
     "rule_predict": "the single-row rule that acceptance criterion 1 holds to its truth table",
 }

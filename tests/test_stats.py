@@ -1,16 +1,18 @@
 """Paired t-tests, p-values, the significance map, and band aggregation."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from motorclass import dsp, features, stats
-from motorclass.dataset import CHANNELS, LEFT, RIGHT, SynthConfig, generate_synthetic
+from motorclass.dataset import (CHANNELS, EPOCHS_PER_TRIAL, LEFT, RIGHT, DataError, Dataset,
+                                SynthConfig, TrialFiles, generate_synthetic, save_dataset)
 from motorclass.features import FeatureMatrix
 from motorclass.stats import (BAND_BINS, band_aggregate, paired_t, significance_map,
                               t_pvalue)
-from oracles import t_two_tailed_p
+from oracles import significance_map_reference, t_two_tailed_p
 
 
 class TestTPvalue:
@@ -169,6 +171,64 @@ class TestSignificanceMap:
         # trial-level averaging uses 40 pairs per cell, epoch-level 320
         epoch_map = significance_map(fm80, level="epoch")
         assert not np.allclose(smap.t, epoch_map.t)
+
+
+def _map_bytes(smap):
+    return [a.tobytes() for a in (smap.t, smap.p, smap.delta, smap.significant,
+                                  smap.mean_right, smap.mean_left)]
+
+
+@pytest.fixture(scope="module")
+def unsorted_manifest(tmp_path_factory):
+    """Four trials per side at 6 dB, saved with the manifest's entries out of
+    trial-id order."""
+    ds = generate_synthetic(SynthConfig(n_trials_per_side=4, asymmetry_db=6.0, seed=9))
+    path = save_dataset(ds, tmp_path_factory.mktemp("unsorted") / "d")
+    blob = json.loads(path.read_text())
+    blob["trials"] = [blob["trials"][i] for i in (5, 2, 7, 0, 3, 6, 1, 4)]
+    path.write_text(json.dumps(blob))
+    return path
+
+
+class TestMatchesCopyingReference:
+    """significance_map reads rows by position; oracles.significance_map_reference
+    is the map as it was when it sorted copies of each side's rows."""
+
+    @pytest.mark.parametrize("level", stats.LEVELS)
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["one_cpu", "two_cpus"])
+    def test_unsorted_manifest(self, unsorted_manifest, bp_filter, pool_on, cpus, level):
+        pool_on(cpus)
+        files = TrialFiles(unsorted_manifest)
+        fm = features.build_feature_matrix(Dataset(files.subject_id, files), bp_filter)
+        assert fm.trial_ids[::EPOCHS_PER_TRIAL].tolist() == [5, 2, 7, 0, 3, 6, 1, 4]
+        want = _map_bytes(significance_map_reference(fm, level=level))
+        assert _map_bytes(significance_map(fm, level=level)) == want
+        # rows in any order pair by (trial_id, epoch) alike
+        perm = np.random.default_rng(cpus).permutation(fm.n_rows)
+        shuffled = FeatureMatrix(X=fm.X[perm], y=fm.y[perm], trial_ids=fm.trial_ids[perm],
+                                 epochs=fm.epochs[perm])
+        assert _map_bytes(significance_map(shuffled, level=level)) == want
+
+    @pytest.mark.parametrize("level", stats.LEVELS)
+    @pytest.mark.parametrize("n_trials,n_left", [(3, 0), (5, 1), (6, 3)],
+                             ids=["one_label", "unequal", "equal"])
+    def test_same_outcome_on_relabeled_trials(self, fm80, n_trials, n_left, level):
+        # fm80's first trials are all right-labeled; the last n_left of the
+        # first n_trials become left-labeled
+        rows = slice(0, n_trials * EPOCHS_PER_TRIAL)
+        y = fm80.y[rows].copy()
+        y[len(y) - n_left * EPOCHS_PER_TRIAL:] = LEFT
+        part = FeatureMatrix(X=fm80.X[rows], y=y, trial_ids=fm80.trial_ids[rows],
+                             epochs=fm80.epochs[rows])
+
+        def outcome(smap_of):
+            try:
+                return _map_bytes(smap_of(part, level=level))
+            except DataError as exc:
+                return str(exc)
+        want = outcome(significance_map_reference)
+        assert isinstance(want, list) == (2 * n_left == n_trials)
+        assert outcome(significance_map) == want
 
 
 class TestBandAggregate:

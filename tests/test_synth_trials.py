@@ -6,23 +6,16 @@ the reference's, its calling process makes no trial when it has workers, and
 its peak memory does not grow with the trial count."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import motorclass
 from motorclass import cli, dataset
 from motorclass.dataset import (CHANNELS, GEN_BAND_HZ, DataError, SynthConfig, SyntheticTrials,
                                 generate_synthetic)
-from conftest import _RecordingPool
+from conftest import _RecordingPool, cli_peak_mib
 from oracles import generate_synthetic_reference, save_dataset_reference
-
-SRC = str(Path(motorclass.__file__).resolve().parents[1])
 
 
 def _bits(trials):
@@ -134,27 +127,11 @@ def test_cli_synth_reports_the_first_failing_trial(tmp_path, pool_on, capsys, cp
     assert not (got_dir / "effective_config.json").exists()
 
 
-# spawned from a fresh, small interpreter: Linux starts a program's peak-RSS
-# count at that of the process that spawns it, and pytest's can be far larger
-_PEAK = """
-import os, sys
-argv = [sys.executable, "-m", "motorclass.cli", *sys.argv[1:]]
-actions = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
-pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=actions)
-_, status, usage = os.wait4(pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
 def _synth_peak_mib(n_per_side, out):
-    done = subprocess.run([sys.executable, "-c", _PEAK, "synth", "--n-per-side", str(n_per_side),
-                           "--asymmetry-db", "6", "--out", str(out)],
-                          capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": SRC})
-    code, peak_kib = map(int, done.stdout.split())
-    assert code == 0, done.stderr
+    peak = cli_peak_mib(["synth", "--n-per-side", n_per_side, "--asymmetry-db", "6",
+                         "--out", out])
     assert len(list(out.glob("trial_*.csv"))) == 2 * n_per_side
-    return peak_kib / 1024
+    return peak
 
 
 def test_synth_memory_does_not_grow_with_trials(tmp_path):
